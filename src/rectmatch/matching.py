@@ -6,6 +6,11 @@ family in two by which corner holds a defining point, solves the
 piercing+corner structure of each half exactly, breaks the leftover point
 contacts by a two-coloring, and keeps the better half.  The bichromatic
 solver splits four ways and each quarter is solved exactly outright.
+
+The exact oracles `brute_force_max_matching`, `decide_perfect` and
+`count_perfect_matchings` are one depth-first search with three objectives
+(max, decide, count).  Its stack is explicit, so the search has no depth
+limit: inputs of thousands of points are bounded only by the size guard.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from rectmatch.geometry import (
     candidate_monochromatic,
     empty_pairs,
     rect_from_pair,
+    rects_conflict,
 )
 from rectmatch.independent_set import (
     IndependentSet,
@@ -79,7 +85,12 @@ def oracle_guard(default: int = DEFAULT_ORACLE_GUARD) -> int:
     value = os.environ.get(ORACLE_GUARD_ENV)
     if value is None:
         return default
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"{ORACLE_GUARD_ENV} must be an integer, not {value!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -221,41 +232,27 @@ def _mode_pairs(s: PointSet, mode: MatchMode) -> list[tuple[int, int]]:
     ]
 
 
-def _box_conflict(s: PointSet, b1, b2) -> bool:
-    """Conflict test on (xmin, xmax, ymin, ymax) tuples, mirroring
-    classify_intersection: overlaps of positive area, crossings, and
-    zero-area overlaps through an input point conflict; bare boundary
-    touches do not."""
-    lox, hix = max(b1[0], b2[0]), min(b1[1], b2[1])
-    loy, hiy = max(b1[2], b2[2]), min(b1[3], b2[3])
-    if lox > hix or loy > hiy:
-        return False
-    if lox < hix and loy < hiy:
-        return True
-    p1 = b1[0] <= b2[0] and b2[1] <= b1[1] and b2[2] <= b1[2] and b1[3] <= b2[3]
-    p2 = b2[0] <= b1[0] and b1[1] <= b2[1] and b1[2] <= b2[2] and b2[3] <= b1[3]
-    if p1 or p2:
-        return True
-    return any(lox <= p.x <= hix and loy <= p.y <= hiy for p in s)
-
-
 class _SearchSpace:
-    def __init__(self, s: PointSet, mode: MatchMode):
-        self.s = s
-        self.n = len(s)
-        self.pairs = _mode_pairs(s, mode)
+    """The candidate pairs of a mode as (xmin, xmax, ymin, ymax) boxes:
+    `box[(i, j)]` for i < j, and each point's partners in ascending order
+    with their boxes.  `allowed_pairs`, when given, keeps only those pairs."""
+
+    def __init__(self, s: PointSet, mode: MatchMode, allowed_pairs=None):
+        keep = None
+        if allowed_pairs is not None:
+            keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
         self.box = {}
-        self.partners = [[] for _ in range(self.n)]
-        for i, j in self.pairs:
+        self.partners = [[] for _ in range(len(s))]
+        for i, j in _mode_pairs(s, mode):
+            if keep is not None and (i, j) not in keep:
+                continue
             r = rect_from_pair(s, i, j)
-            self.box[(i, j)] = (r.xmin, r.xmax, r.ymin, r.ymax)
-            self.partners[i].append(j)
-            self.partners[j].append(i)
+            box = (r.xmin, r.xmax, r.ymin, r.ymax)
+            self.box[(i, j)] = box
+            self.partners[i].append((j, box))
+            self.partners[j].append((i, box))
         for lst in self.partners:
             lst.sort()
-
-    def box_of(self, i: int, j: int):
-        return self.box[(i, j) if i < j else (j, i)]
 
     def conflicts(self, box, chosen) -> bool:
         # Candidate rectangles contain no third input point, so a zero-area
@@ -281,6 +278,116 @@ class _SearchSpace:
         return False
 
 
+def _search(
+    s: PointSet,
+    mode: MatchMode,
+    objective: str,
+    max_points: int | None,
+    forced_pairs: Sequence[tuple[int, int]] = (),
+    allowed_pairs: Sequence[tuple[int, int]] | None = None,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Depth-first pairing search behind the three oracles.
+
+    `objective` is "max", "decide" or "count".  Returns the number of leaves
+    reached and, for "max", the pairs of the best one.  The lowest free
+    point is paired with each partner in ascending order, then left
+    unmatched.  A counting bound prunes every branch that cannot beat the
+    incumbent size: "max" starts it at -1 and raises it at each leaf, so
+    the first optimum found, the lexicographically least pair set, is the
+    one kept.  "decide" and "count" fix it at n/2 - 1, so only perfect
+    matchings reach a leaf; "decide" stops at the first.  The stack is
+    explicit, so the depth of the search is not limited by Python's
+    recursion limit.
+    """
+    limit = max_points if max_points is not None else oracle_guard()
+    n = len(s)
+    if n > limit:
+        raise GuardError(
+            f"{n} points exceeds the oracle guard of {limit}; raise "
+            f"max_points or set {ORACLE_GUARD_ENV}"
+        )
+    maximize = objective == "max"
+    if not maximize and (
+        n % 2 or (mode is MatchMode.BI and s.count(Color.RED) != s.count(Color.BLUE))
+    ):
+        return 0, ()
+    space = _SearchSpace(s, mode, allowed_pairs)
+    conflicts = space.conflicts
+    used = [False] * n
+    chosen: list[tuple] = []
+    forced: list[tuple[int, int]] = []
+    for i, j in forced_pairs:
+        key = (min(i, j), max(i, j))
+        box = space.box.get(key)
+        if box is None:
+            problem = "is not a candidate pair"
+        elif conflicts(box, chosen):
+            problem = "conflicts with another forced pair"
+        elif used[key[0]] or used[key[1]]:
+            problem = "reuses a point"
+        else:
+            used[key[0]] = used[key[1]] = True
+            chosen.append(box)
+            forced.append(key)
+            continue
+        if maximize:
+            raise ValueError(f"forced pair {key} {problem}")
+        return 0, ()
+
+    best = -1 if maximize else n // 2 - 1
+    leaves = 0
+    best_pairs: tuple[tuple[int, int], ...] = ()
+    # A frame is [point, its partner iterator (None once the point has been
+    # left unmatched), matched, free, the partner it is paired with or -1].
+    # `free` counts the points neither processed nor paired yet.
+    stack: list[list] = []
+    lowest, matched, free = 0, len(forced), n - 2 * len(forced)
+    while True:
+        # Enter the node (lowest, matched, free), whose bound has passed.
+        i = lowest
+        while i < n and used[i]:
+            i += 1
+        if i < n:
+            used[i] = True
+            stack.append([i, iter(space.partners[i]), matched, free, -1])
+        else:
+            leaves += 1
+            if maximize:  # the bound let only a better matching get here
+                best = matched
+                best_pairs = tuple(forced + [(f[0], f[4]) for f in stack if f[4] >= 0])
+            elif objective == "decide":
+                return leaves, ()
+        # Move to the next child of the deepest frame that has one left.
+        while stack:
+            frame = stack[-1]
+            i, partners, matched, free, j = frame
+            if j >= 0:
+                used[j] = False
+                chosen.pop()
+                frame[4] = -1
+            if partners is not None:
+                if matched + free // 2 > best:
+                    for j, box in partners:
+                        if not used[j] and not conflicts(box, chosen):
+                            break
+                    else:
+                        j = -1
+                    if j >= 0:
+                        used[j] = True
+                        chosen.append(box)
+                        frame[4] = j
+                        lowest, matched, free = i + 1, matched + 1, free - 2
+                        break
+                frame[1] = None
+                if matched + (free - 1) // 2 > best:
+                    lowest, free = i + 1, free - 1
+                    break
+            used[i] = False
+            stack.pop()
+        else:
+            return leaves, best_pairs
+
+
 def brute_force_max_matching(
     s: PointSet,
     mode: MatchMode,
@@ -288,77 +395,16 @@ def brute_force_max_matching(
     max_points: int | None = None,
     forced_pairs: Sequence[tuple[int, int]] = (),
 ) -> Matching:
-    """Exact maximum strong matching by depth-first pairing search.
+    """Exact maximum strong matching: the lexicographically least pair set
+    among all maxima.
 
-    Processes the lowest unprocessed point first, trying partners in
-    ascending order before leaving the point unmatched, so the first optimum
-    found is the lexicographically least pair set among all maxima; a
-    counting bound prunes branches that cannot beat the incumbent.
-
-    `forced_pairs` pre-commits pairs (they count toward the result).
-    Refuses instances larger than the guard (default 16, overridable via
-    the RECTMATCH_ORACLE_GUARD environment variable or `max_points`).
+    `forced_pairs` pre-commits pairs (they count toward the result); a
+    forced pair that is no candidate, conflicts or reuses a point raises
+    ValueError.  Refuses instances larger than the guard (default 16,
+    overridable via the RECTMATCH_ORACLE_GUARD environment variable or
+    `max_points`) with GuardError.
     """
-    limit = max_points if max_points is not None else oracle_guard()
-    if len(s) > limit:
-        raise GuardError(
-            f"{len(s)} points exceeds the oracle guard of {limit}; raise "
-            f"max_points or set {ORACLE_GUARD_ENV}"
-        )
-    space = _SearchSpace(s, mode)
-    used = [False] * space.n
-    chosen_boxes = []
-    base_pairs = []
-    pair_keys = set(space.pairs)
-    for i, j in forced_pairs:
-        key = (min(i, j), max(i, j))
-        if key not in pair_keys:
-            raise ValueError(f"forced pair {key} is not a candidate pair")
-        box = space.box[key]
-        if space.conflicts(box, chosen_boxes):
-            raise ValueError(f"forced pair {key} conflicts with another forced pair")
-        if used[key[0]] or used[key[1]]:
-            raise ValueError(f"forced pair {key} reuses a point")
-        used[key[0]] = used[key[1]] = True
-        chosen_boxes.append(box)
-        base_pairs.append(key)
-
-    best_size = -1
-    best_pairs: tuple[tuple[int, int], ...] = ()
-    free_count = space.n - 2 * len(base_pairs)
-    stack_pairs: list[tuple[int, int]] = []
-
-    def search(lowest: int, matched: int, free: int) -> None:
-        nonlocal best_size, best_pairs
-        if matched + free // 2 <= best_size:
-            return
-        i = lowest
-        while i < space.n and used[i]:
-            i += 1
-        if i == space.n:
-            if matched > best_size:
-                best_size = matched
-                best_pairs = tuple(base_pairs + stack_pairs)
-            return
-        used[i] = True
-        for j in space.partners[i]:
-            if used[j]:
-                continue
-            box = space.box_of(i, j)
-            if space.conflicts(box, chosen_boxes):
-                continue
-            used[j] = True
-            chosen_boxes.append(box)
-            stack_pairs.append((i, j) if i < j else (j, i))
-            search(i + 1, matched + 1, free - 2)
-            stack_pairs.pop()
-            chosen_boxes.pop()
-            used[j] = False
-        search(i + 1, matched, free - 1)
-        used[i] = False
-
-    search(0, len(base_pairs), free_count)
-    return Matching(best_pairs, mode)
+    return Matching(_search(s, mode, "max", max_points, forced_pairs)[1], mode)
 
 
 def decide_perfect(
@@ -368,91 +414,10 @@ def decide_perfect(
     max_points: int | None = None,
     forced_pairs: Sequence[tuple[int, int]] = (),
 ) -> bool:
-    """Is there a perfect strong matching covering every point?
-
-    Parity and, for the bichromatic mode, color counts are checked first;
-    the same size guard as the maximum oracle applies.
-    """
-    limit = max_points if max_points is not None else oracle_guard()
-    if len(s) > limit:
-        raise GuardError(
-            f"{len(s)} points exceeds the oracle guard of {limit}; raise "
-            f"max_points or set {ORACLE_GUARD_ENV}"
-        )
-    if len(s) % 2 != 0:
-        return False
-    if mode is MatchMode.BI and s.count(Color.RED) != s.count(Color.BLUE):
-        return False
-    return _perfect_search_rec(s, mode, forced_pairs)
-
-
-def _perfect_search_rec(s: PointSet, mode: MatchMode, forced_pairs) -> bool:
-    space = _SearchSpace(s, mode)
-    used = [False] * space.n
-    chosen: list[tuple] = []
-    pair_keys = set(space.pairs)
-    for i, j in forced_pairs:
-        key = (min(i, j), max(i, j))
-        if key not in pair_keys:
-            return False
-        box = space.box[key]
-        if used[key[0]] or used[key[1]] or space.conflicts(box, chosen):
-            return False
-        used[key[0]] = used[key[1]] = True
-        chosen.append(box)
-
-    # Explicit stack of (point, partner_position, box_or_None); avoids
-    # recursion limits on large structured instances.
-    stack: list[list] = []
-
-    def next_free(after: int) -> int:
-        i = after
-        while i < space.n and used[i]:
-            i += 1
-        return i
-
-    i = next_free(0)
-    if i == space.n:
-        return True
-    stack.append([i, 0])
-    used[i] = True
-    while stack:
-        frame = stack[-1]
-        i, pos = frame
-        partners = space.partners[i]
-        placed = False
-        while pos < len(partners):
-            j = partners[pos]
-            pos += 1
-            if used[j]:
-                continue
-            box = space.box_of(i, j)
-            if space.conflicts(box, chosen):
-                continue
-            frame[1] = pos
-            frame.append(j)
-            frame.append(box)
-            used[j] = True
-            chosen.append(box)
-            nxt = next_free(i + 1)
-            if nxt == space.n:
-                return True
-            stack.append([nxt, 0])
-            used[nxt] = True
-            placed = True
-            break
-        if placed:
-            continue
-        # Exhausted partners for i: unwind.
-        used[i] = False
-        stack.pop()
-        if stack:
-            top = stack[-1]
-            j, box = top[2], top[3]
-            used[j] = False
-            chosen.pop()
-            del top[2:]
-    return False
+    """Is there a perfect strong matching covering every point (and every
+    forced pair)?  Parity and, for the bichromatic mode, color counts are
+    checked first; the same size guard as the maximum oracle applies."""
+    return _search(s, mode, "decide", max_points, forced_pairs)[0] > 0
 
 
 def count_perfect_matchings(
@@ -465,51 +430,7 @@ def count_perfect_matchings(
     """Number of distinct perfect strong matchings (guarded like the other
     oracles).  `allowed_pairs` restricts the usable pairs, for counting the
     matchings of a sub-structure whose blocking context lives elsewhere."""
-    limit = max_points if max_points is not None else oracle_guard()
-    if len(s) > limit:
-        raise GuardError(
-            f"{len(s)} points exceeds the oracle guard of {limit}"
-        )
-    if len(s) % 2 != 0:
-        return 0
-    if mode is MatchMode.BI and s.count(Color.RED) != s.count(Color.BLUE):
-        return 0
-    space = _SearchSpace(s, mode)
-    if allowed_pairs is not None:
-        keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
-        space.pairs = [p for p in space.pairs if p in keep]
-        space.partners = [
-            [j for j in partners if (min(i, j), max(i, j)) in keep]
-            for i, partners in enumerate(space.partners)
-        ]
-    used = [False] * space.n
-    chosen: list[tuple] = []
-    count = 0
-
-    def go(lowest: int) -> None:
-        nonlocal count
-        i = lowest
-        while i < space.n and used[i]:
-            i += 1
-        if i == space.n:
-            count += 1
-            return
-        used[i] = True
-        for j in space.partners[i]:
-            if used[j]:
-                continue
-            box = space.box_of(i, j)
-            if space.conflicts(box, chosen):
-                continue
-            used[j] = True
-            chosen.append(box)
-            go(i + 1)
-            chosen.pop()
-            used[j] = False
-        used[i] = False
-
-    go(0)
-    return count
+    return _search(s, mode, "count", max_points, allowed_pairs=allowed_pairs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +491,7 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     overlaps = []
     for a in range(len(rects)):
         for b in range(a + 1, len(rects)):
-            ra, rb = rects[a], rects[b]
-            if _box_conflict(
-                s,
-                (ra.xmin, ra.xmax, ra.ymin, ra.ymax),
-                (rb.xmin, rb.xmax, rb.ymin, rb.ymax),
-            ):
+            if rects_conflict(s, rects[a], rects[b]):
                 overlaps.append((valid_pairs[a], valid_pairs[b]))
     disjoint = Check("rects_pairwise_disjoint", not overlaps, tuple(overlaps))
 

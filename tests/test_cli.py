@@ -102,6 +102,14 @@ class TestSolveVerifyOracle:
         assert code == 0
         assert json.loads(out)["size"] == 10
 
+    def test_oracle_invalid_env_guard(self, tmp_path, capsys, monkeypatch):
+        pts = tmp_path / "two.pts"
+        pts.write_text("0 0 B\n1 1 B\n")
+        monkeypatch.setenv("RECTMATCH_ORACLE_GUARD", "abc")
+        code, _, err = run(capsys, "oracle", str(pts), "--mode", "mono")
+        assert code == 1
+        assert "RECTMATCH_ORACLE_GUARD" in err and "'abc'" in err
+
 
 class TestCompileSat:
     def test_compile(self, tmp_path, capsys):
@@ -141,6 +149,16 @@ class TestBench:
             parts = line.split(",")
             if parts[5] and int(parts[5]) > 0:
                 assert float(parts[6]) >= 0.25
+
+    def test_guard_zero_leaves_oracle_columns_blank(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code, _, _ = run(capsys, "bench", "--trials", "1", "--n", "8",
+                         "--guard", "0", "--out", str(out))
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert row.split(",")[5:] == ["", ""]
 
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

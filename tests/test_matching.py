@@ -24,6 +24,7 @@ from rectmatch.matching import (
     MatchMode,
     Matching,
     brute_force_max_matching,
+    count_perfect_matchings,
     decide_perfect,
     half_approx_family,
     approx_mbrm,
@@ -283,6 +284,17 @@ class TestOracle:
             for mode in MatchMode:
                 expect = brute_force_max_matching(s, mode).covers(len(s))
                 assert decide_perfect(s, mode) == expect
+                assert (count_perfect_matchings(s, mode) > 0) == expect
+
+    def test_long_row_needs_no_recursion(self):
+        # One pair per search level: 1200 levels, beyond the default
+        # recursion limit.  The only perfect matching pairs neighbours.
+        n = 2400
+        s = PointSet.from_tuples((x, 0, "B") for x in range(n))
+        neighbours = tuple((i, i + 1) for i in range(0, n, 2))
+        assert brute_force_max_matching(s, MatchMode.MONO, max_points=n).pairs == neighbours
+        assert count_perfect_matchings(s, MatchMode.MONO, max_points=n) == 1
+        assert decide_perfect(s, MatchMode.MONO, max_points=n)
 
     def test_with_oracle_ratio(self):
         s = ps((0, 0, "R"), (1, 1, "R"))
@@ -304,6 +316,17 @@ class TestVerifyMatching:
         names = {c.name: c for c in rep.checks}
         assert not names["rects_pairwise_disjoint"].ok
         assert names["rects_pairwise_disjoint"].witnesses
+
+        # [0,1]x[0,2] and [1,3]x[1,3] share the segment x=1, 1<=y<=2.
+        # With no input point on it the touch is allowed...
+        s = ps((0, 2, "B"), (1, 0, "B"), (1, 3, "B"), (3, 1, "B"))
+        rep = verify_matching(s, Matching(((0, 1), (2, 3)), MatchMode.MONO))
+        assert rep.ok
+        # ...and with the input point (1, 1) on it the two conflict.
+        s = ps((0, 2, "B"), (1, 0, "B"), (1, 1, "B"), (3, 3, "B"))
+        rep = verify_matching(s, Matching(((0, 1), (2, 3)), MatchMode.MONO))
+        names = {c.name: c for c in rep.checks}
+        assert names["rects_pairwise_disjoint"].witnesses == (((0, 1), (2, 3)),)
 
     def test_color_rule_flagged(self):
         s = ps((0, 0, "B"), (1, 1, "R"), (5, 5, "B"), (6, 6, "B"))
