@@ -1,17 +1,28 @@
 """Exact planar geometry for two-colored point sets.
 
-Coordinates are `fractions.Fraction` values throughout: arithmetic and
+Points and rectangles carry `fractions.Fraction` coordinates: arithmetic and
 comparisons are exact, denominators stay in canonical reduced form, and no
 floating point ever enters a predicate.  Rectangles are *closed* boxes, so a
 point on the boundary counts as contained.
+
+Every predicate here compares coordinates by order only, so it gives the same
+answer on integer ranks: each `PointSet` ranks its x and y coordinates once,
+and `intersection_kinds` classifies a whole family on rank boxes with an
+x-sweep that visits only the pairs whose projections overlap.  Exact
+classification on `Fraction`s (`classify_intersection`) and on ranks run the
+same rule code.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from math import lcm
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Coord = Fraction
 
@@ -93,15 +104,36 @@ class PointSet:
     def __getitem__(self, i: int) -> ColoredPoint:
         return self.points[i]
 
-    @cached_property
-    def _coord_set(self) -> frozenset[tuple[Coord, Coord]]:
-        return frozenset((p.x, p.y) for p in self.points)
-
     def has_point_at(self, x: Coord, y: Coord) -> bool:
-        return (x, y) in self._coord_set
+        return self._grid.occupied(x, x, y, y)
+
+    @cached_property
+    def _grid(self) -> "_Grid":
+        return _Grid([p.x for p in self.points], [p.y for p in self.points])
+
+    @cached_property
+    def _ranks(self) -> tuple[list[int], list[int]]:
+        """Per point index, the dense rank of its x and of its y coordinate."""
+        return (_dense_ranks([p.x for p in self.points]),
+                _dense_ranks([p.y for p in self.points]))
+
+    @cached_property
+    def _rank_grid(self) -> "_Grid":
+        return _Grid(*self._ranks)
 
     def count(self, color: Color) -> int:
         return sum(1 for p in self.points if p.color is color)
+
+
+def _dense_ranks(values: list[Coord]) -> list[int]:
+    """The rank of each value among the distinct values.  Values are scaled
+    to integers by their common denominator when that stays machine-sized,
+    so sorting does not compare `Fraction`s."""
+    scale = lcm(*{v.denominator for v in values})
+    if scale.bit_length() <= 64:
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    rank = {v: k for k, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
 
 
 @dataclass(frozen=True)
@@ -136,10 +168,60 @@ def rect_from_pair(s: PointSet, i: int, j: int) -> Rect:
     if not (0 <= i < len(s) and 0 <= j < len(s)):
         raise ValueError(f"point index out of range: ({i}, {j})")
     p, q = s[i], s[j]
-    xmin, xmax = min(p.x, q.x), max(p.x, q.x)
-    ymin, ymax = min(p.y, q.y), max(p.y, q.y)
-    kind = RectKind.SEGMENT if (xmin == xmax or ymin == ymax) else RectKind.BOX
+    xr, yr = s._ranks
+    xmin, xmax = (p.x, q.x) if xr[i] <= xr[j] else (q.x, p.x)
+    ymin, ymax = (p.y, q.y) if yr[i] <= yr[j] else (q.y, p.y)
+    flat = xr[i] == xr[j] or yr[i] == yr[j]
+    kind = RectKind.SEGMENT if flat else RectKind.BOX
     return Rect(i, j, xmin, xmax, ymin, ymax, kind, _color_class(p.color, q.color))
+
+
+class RankBox(NamedTuple):
+    """A rectangle's bounds as integer ranks of its point set's coordinates."""
+
+    xmin: int
+    xmax: int
+    ymin: int
+    ymax: int
+
+
+def rank_boxes(s: PointSet, rects: Iterable[Rect]) -> list[RankBox]:
+    """The rank box of each rectangle of s, in order."""
+    xr, yr = s._ranks
+    out = []
+    for r in rects:
+        xa, xb, ya, yb = xr[r.a], xr[r.b], yr[r.a], yr[r.b]
+        out.append(RankBox(
+            xa if xa < xb else xb, xb if xa < xb else xa,
+            ya if ya < yb else yb, yb if ya < yb else ya,
+        ))
+    return out
+
+
+class _Grid:
+    """The points of a set by column and by row, for queries on closed
+    boxes of zero width or zero height."""
+
+    def __init__(self, xs: Sequence, ys: Sequence):
+        self.columns: dict = defaultdict(list)
+        self.rows: dict = defaultdict(list)
+        for x, y in zip(xs, ys):
+            self.columns[x].append(y)
+            self.rows[y].append(x)
+        for line in (*self.columns.values(), *self.rows.values()):
+            line.sort()
+
+    def occupied(self, x1, x2, y1, y2) -> bool:
+        """True iff a point lies in [x1, x2] x [y1, y2], where x1 == x2 or
+        y1 == y2."""
+        if x1 == x2:
+            line, lo, hi = self.columns.get(x1), y1, y2
+        else:
+            line, lo, hi = self.rows.get(y1), x1, x2
+        if not line:
+            return False
+        k = bisect_left(line, lo)
+        return k < len(line) and line[k] <= hi
 
 
 def contains_point(r: Rect, p: ColoredPoint) -> bool:
@@ -147,18 +229,11 @@ def contains_point(r: Rect, p: ColoredPoint) -> bool:
     return r.xmin <= p.x <= r.xmax and r.ymin <= p.y <= r.ymax
 
 
-def _contains_xy(r: Rect, x: Coord, y: Coord) -> bool:
-    return r.xmin <= x <= r.xmax and r.ymin <= y <= r.ymax
-
-
-def _strictly_inside(r: Rect, x: Coord, y: Coord) -> bool:
-    return r.xmin < x < r.xmax and r.ymin < y < r.ymax
-
-
-def pierces(r1: Rect, r2: Rect) -> bool:
+def pierces(r1, r2) -> bool:
     """True iff r2 pierces r1: r1's x-projection contains r2's, and r2's
     y-projection contains r1's.  Containment is non-strict, so equal
-    projections qualify."""
+    projections qualify.  Works on any boxes with `xmin`, `xmax`, `ymin`
+    and `ymax`: `Rect`s and `RankBox`es alike."""
     return (
         r1.xmin <= r2.xmin
         and r2.xmax <= r1.xmax
@@ -167,13 +242,48 @@ def pierces(r1: Rect, r2: Rect) -> bool:
     )
 
 
-def _corners(r: Rect) -> set[tuple[Coord, Coord]]:
-    return {
-        (r.xmin, r.ymin),
-        (r.xmin, r.ymax),
-        (r.xmax, r.ymin),
-        (r.xmax, r.ymax),
+def _strict_corners(r1, r2) -> list:
+    """The distinct corners of r2 strictly inside r1."""
+    corners = {
+        (r2.xmin, r2.ymin),
+        (r2.xmin, r2.ymax),
+        (r2.xmax, r2.ymin),
+        (r2.xmax, r2.ymax),
     }
+    return [
+        (x, y) for x, y in corners
+        if r1.xmin < x < r1.xmax and r1.ymin < y < r1.ymax
+    ]
+
+
+def _meet(r1, r2, grid: _Grid) -> IntersectionKind:
+    """The classification rule of `classify_intersection`, on two boxes in
+    any ordered coordinates and the grid of the point set in the same
+    coordinates."""
+    lox = r1.xmin if r1.xmin > r2.xmin else r2.xmin
+    hix = r1.xmax if r1.xmax < r2.xmax else r2.xmax
+    if lox > hix:
+        return IntersectionKind.DISJOINT
+    loy = r1.ymin if r1.ymin > r2.ymin else r2.ymin
+    hiy = r1.ymax if r1.ymax < r2.ymax else r2.ymax
+    if loy > hiy:
+        return IntersectionKind.DISJOINT
+    if pierces(r1, r2) or pierces(r2, r1):
+        return IntersectionKind.PIERCING
+    if lox == hix or loy == hiy:
+        # Zero-area overlap: a point or a boundary segment.
+        if not grid.occupied(lox, hix, loy, hiy):
+            return IntersectionKind.DISJOINT
+        if lox == hix and loy == hiy:
+            return IntersectionKind.POINT
+        return IntersectionKind.SIDE
+    in_1 = _strict_corners(r1, r2)
+    in_2 = _strict_corners(r2, r1)
+    if len(in_1) == 1 and len(in_2) == 1:
+        (x1, y1), (x2, y2) = in_1[0], in_2[0]
+        if not grid.occupied(x1, x1, y1, y1) and not grid.occupied(x2, x2, y2, y2):
+            return IntersectionKind.CORNER
+    return IntersectionKind.SIDE
 
 
 def classify_intersection(s: PointSet, r1: Rect, r2: Rect) -> IntersectionKind:
@@ -195,31 +305,41 @@ def classify_intersection(s: PointSet, r1: Rect, r2: Rect) -> IntersectionKind:
     exactness of the per-corner candidate families on inputs with repeated
     coordinates.
     """
-    lox, hix = max(r1.xmin, r2.xmin), min(r1.xmax, r2.xmax)
-    loy, hiy = max(r1.ymin, r2.ymin), min(r1.ymax, r2.ymax)
-    if lox > hix or loy > hiy:
-        return IntersectionKind.DISJOINT
-    if pierces(r1, r2) or pierces(r2, r1):
-        return IntersectionKind.PIERCING
-    if lox == hix or loy == hiy:
-        # Zero-area overlap: a point or a boundary segment.
-        if lox == hix and loy == hiy:
-            if s.has_point_at(lox, loy):
-                return IntersectionKind.POINT
-            return IntersectionKind.DISJOINT
-        if any(lox <= p.x <= hix and loy <= p.y <= hiy for p in s):
-            return IntersectionKind.SIDE
-        return IntersectionKind.DISJOINT
-    in_1 = [c for c in _corners(r2) if _strictly_inside(r1, *c)]
-    in_2 = [c for c in _corners(r1) if _strictly_inside(r2, *c)]
-    if (
-        len(in_1) == 1
-        and len(in_2) == 1
-        and not s.has_point_at(*in_1[0])
-        and not s.has_point_at(*in_2[0])
-    ):
-        return IntersectionKind.CORNER
-    return IntersectionKind.SIDE
+    return _meet(r1, r2, s._grid)
+
+
+def intersection_kinds(
+    s: PointSet, rects: Sequence[Rect]
+) -> dict[tuple[int, int], IntersectionKind]:
+    """`classify_intersection` of every intersecting pair (u, v), u < v, of
+    rectangles of s, keys in sorted order; a pair that is absent is disjoint.
+
+    Runs on rank boxes.  A sweep in order of `xmin` pairs each box with the
+    later ones up to the first that starts right of its `xmax`, and skips
+    those whose y-ranges are disjoint: only pairs whose projections both
+    overlap are classified.
+    """
+    boxes = rank_boxes(s, rects)
+    grid = s._rank_grid
+    order = sorted(range(len(boxes)), key=lambda u: boxes[u].xmin)
+    starts = [boxes[u].xmin for u in order]
+    m = len(order)
+    DISJOINT = IntersectionKind.DISJOINT
+    found = []
+    for pos in range(m):
+        u = order[pos]
+        bu = boxes[u]
+        _, xmax, ymin, ymax = bu
+        end = bisect_right(starts, xmax, pos + 1)
+        for v in order[pos + 1:end]:
+            bv = boxes[v]
+            if bv.ymin > ymax or bv.ymax < ymin:
+                continue
+            kind = _meet(bu, bv, grid)
+            if kind is not DISJOINT:
+                found.append(((u, v) if u < v else (v, u), kind))
+    found.sort(key=itemgetter(0))
+    return dict(found)
 
 
 def rects_conflict(s: PointSet, r1: Rect, r2: Rect) -> bool:
@@ -230,29 +350,30 @@ def rects_conflict(s: PointSet, r1: Rect, r2: Rect) -> bool:
 def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
     """All index pairs {i, j} whose rectangle contains no third point of s.
 
-    Directional sweep: points are scanned in (x, y) order and, for each
-    anchor, later points are admitted while they beat the lowest blocker seen
-    above the anchor line (resp. highest below).  Output and complexity match
-    the quadratic pair filter; the scan just exits early once both sides of
-    the anchor are walled off.
+    Directional sweep on coordinate ranks: points are scanned in (x, y)
+    order and, for each anchor, later points are admitted while they beat
+    the lowest blocker seen above the anchor line (resp. highest below).
+    Output and complexity match the quadratic pair filter; the scan just
+    exits early once both sides of the anchor are walled off.
     """
-    order = sorted(range(len(s)), key=lambda k: (s[k].x, s[k].y))
+    xr, yr = s._ranks
+    order = sorted(range(len(s)), key=lambda k: (xr[k], yr[k]))
     out: list[tuple[int, int]] = []
     n = len(order)
     for pos in range(n):
         i = order[pos]
-        py = s[i].y
-        min_up: Coord | None = None
-        max_down: Coord | None = None
+        py = yr[i]
+        min_up: int | None = None
+        max_down: int | None = None
         if pos > 0:
             k = order[pos - 1]
             # The nearest same-column point below the anchor precedes it in
             # the sort order yet blocks every box hanging below the anchor.
-            if s[k].x == s[i].x:
-                max_down = s[k].y
+            if xr[k] == xr[i]:
+                max_down = yr[k]
         for pos2 in range(pos + 1, n):
             j = order[pos2]
-            qy = s[j].y
+            qy = yr[j]
             if qy >= py:
                 if min_up is None or qy < min_up:
                     out.append((i, j) if i < j else (j, i))
@@ -267,7 +388,7 @@ def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
                     blocked = False
                     if pos2 + 1 < n:
                         k = order[pos2 + 1]
-                        if s[k].x == s[j].x and s[k].y <= py:
+                        if xr[k] == xr[j] and yr[k] <= py:
                             blocked = True
                     if not blocked:
                         out.append((i, j) if i < j else (j, i))

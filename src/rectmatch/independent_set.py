@@ -8,9 +8,17 @@ piercing leftovers form a strict partial order whose maximum antichain is
 computed by minimum chain cover), while point contacts are handled later by
 a two-coloring of what remains.  A branch-and-bound oracle provides ground
 truth at desk scale.
+
+Each family's intersection structure is built once, by an x-sweep over the
+members' integer-rank boxes that reports only the intersecting pairs.  It is
+kept on the family, and the sub-families that `RectFamily.restrict` makes
+(the survivors of corner elimination, the chosen antichain) inherit it, so
+the completeness check, corner elimination, the piercing order and the
+contact graph all read one structure and nothing is classified twice.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -19,9 +27,10 @@ from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
-    classify_intersection,
     contains_point,
+    intersection_kinds,
     pierces,
+    rank_boxes,
 )
 
 
@@ -54,6 +63,20 @@ class RectFamily:
 
     def keys(self) -> frozenset[tuple[int, int]]:
         return frozenset(r.key for r in self.rects)
+
+    def restrict(self, indices: Sequence[int]) -> "RectFamily":
+        """The sub-family of the members at the ascending `indices`.  Once
+        this family's intersection kinds are known, the sub-family inherits
+        them instead of classifying its pairs again."""
+        sub = RectFamily(self.base, tuple(self.rects[i] for i in indices))
+        kinds = self.__dict__.get("_kinds")
+        if kinds is not None:
+            new = {old: k for k, old in enumerate(indices)}
+            object.__setattr__(sub, "_kinds", {
+                (new[u], new[v]): kind for (u, v), kind in kinds.items()
+                if u in new and v in new
+            })
+        return sub
 
 
 @dataclass(frozen=True)
@@ -88,20 +111,22 @@ class IndependentSet:
 
 
 def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
-    kinds = {}
-    m = len(f.rects)
-    for u in range(m):
-        for v in range(u + 1, m):
-            kinds[(u, v)] = classify_intersection(f.base, f.rects[u], f.rects[v])
+    """The kind of every intersecting pair (u, v), u < v, of members, keys in
+    sorted order; a pair that is absent is disjoint."""
+    return intersection_kinds(f.base, f.rects)
+
+
+def _kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
+    """`pairwise_kinds(f)`, computed once per family and kept on it."""
+    kinds = f.__dict__.get("_kinds")
+    if kinds is None:
+        kinds = pairwise_kinds(f)
+        object.__setattr__(f, "_kinds", kinds)
     return kinds
 
 
 def build_graph(f: RectFamily) -> IntersectionGraph:
-    edges = tuple(
-        (u, v, kind)
-        for (u, v), kind in sorted(pairwise_kinds(f).items())
-        if kind is not IntersectionKind.DISJOINT
-    )
+    edges = tuple((u, v, kind) for (u, v), kind in _kinds(f).items())
     return IntersectionGraph(len(f.rects), edges)
 
 
@@ -118,9 +143,10 @@ def _crossing_keys(f: RectFamily, u: int, v: int) -> tuple[tuple[int, int], tupl
     """For a corner-intersecting pair, the defining pairs of the two
     rectangles that cross through the shared region: left point of one with
     right point of the other."""
+    xr, yr = f.base._ranks
+
     def left_right(r: Rect) -> tuple[int, int]:
-        pa, pb = f.base[r.a], f.base[r.b]
-        if (pa.x, pa.y) <= (pb.x, pb.y):
+        if (xr[r.a], yr[r.a]) <= (xr[r.b], yr[r.b]):
             return r.a, r.b
         return r.b, r.a
 
@@ -134,7 +160,7 @@ def _crossing_keys(f: RectFamily, u: int, v: int) -> tuple[tuple[int, int], tupl
 def complete_witness(f: RectFamily) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """A corner pair missing one of its crossing rectangles, or None."""
     keys = f.keys()
-    for (u, v), kind in pairwise_kinds(f).items():
+    for (u, v), kind in _kinds(f).items():
         if kind is IntersectionKind.CORNER:
             k1, k2 = _crossing_keys(f, u, v)
             if k1 not in keys or k2 not in keys:
@@ -159,9 +185,12 @@ def corner_elimination(
 
     Deterministic rule: corner pairs are processed in lexicographic order of
     their defining-index pairs, and the rectangle whose defining pair is
-    lexicographically larger is the one dropped.  `on_step` sees the family
-    after each removal (test hook).
+    lexicographically larger is the one dropped.  A drop only kills pairs,
+    so one pass over the pairs in that order, skipping those already dead,
+    drops what rescanning for the least live pair after each drop would.
+    `on_step` sees the family after each removal (test hook).
     """
+    kinds = _kinds(f)
     witness = complete_witness(f)
     if witness is not None:
         (u, v), missing = witness
@@ -169,24 +198,19 @@ def corner_elimination(
             f"family is not complete: corner pair {f.rects[u].key} / "
             f"{f.rects[v].key} lacks crossing rectangle {missing}"
         )
-    kinds = pairwise_kinds(f)
-    corner_pairs = {p for p, k in kinds.items() if k is IntersectionKind.CORNER}
-    alive = set(range(len(f.rects)))
-    while True:
-        live_pairs = [
-            (u, v) for (u, v) in corner_pairs if u in alive and v in alive
-        ]
-        if not live_pairs:
-            break
-        u, v = min(
-            live_pairs,
-            key=lambda p: tuple(sorted((f.rects[p[0]].key, f.rects[p[1]].key))),
-        )
-        drop = u if f.rects[u].key > f.rects[v].key else v
-        alive.remove(drop)
-        if on_step is not None:
-            on_step(RectFamily(f.base, tuple(f.rects[i] for i in sorted(alive))))
-    return RectFamily(f.base, tuple(f.rects[i] for i in sorted(alive)))
+    keys = [r.key for r in f.rects]
+    corner_pairs = sorted(
+        (min(keys[u], keys[v]), max(keys[u], keys[v]), u, v)
+        for (u, v), kind in kinds.items() if kind is IntersectionKind.CORNER
+    )
+    alive = [True] * len(f.rects)
+    for _, _, u, v in corner_pairs:
+        if alive[u] and alive[v]:
+            alive[u if keys[u] > keys[v] else v] = False
+            if on_step is not None:
+                on_step(RectFamily(f.base, tuple(
+                    r for r, live in zip(f.rects, alive) if live)))
+    return f.restrict([i for i, live in enumerate(alive) if live])
 
 
 def piercing_order(f: RectFamily) -> PiercingDag:
@@ -200,7 +224,7 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     structure this solver relies on is broken and a ContractError reports
     the witness.
     """
-    kinds = pairwise_kinds(f)
+    kinds = _kinds(f)
     for (u, v), kind in kinds.items():
         if kind is IntersectionKind.CORNER:
             raise ContractError(
@@ -208,22 +232,24 @@ def piercing_order(f: RectFamily) -> PiercingDag:
                 f"{f.rects[u].key} / {f.rects[v].key} has a corner intersection"
             )
     m = len(f.rects)
+    boxes = rank_boxes(f.base, f.rects)
     out = [0] * m  # bitmask of successors
     arcs = set()
-    for u in range(m):
-        for v in range(u + 1, m):
-            fwd = pierces(f.rects[u], f.rects[v])  # v pierces u
-            bwd = pierces(f.rects[v], f.rects[u])  # u pierces v
-            if fwd and bwd:
-                raise ContractError(
-                    f"mutual piercing between {f.rects[u].key} and {f.rects[v].key}"
-                )
-            if fwd:
-                arcs.add((u, v))
-                out[u] |= 1 << v
-            elif bwd:
-                arcs.add((v, u))
-                out[v] |= 1 << u
+    for (u, v), kind in kinds.items():
+        if kind is not IntersectionKind.PIERCING:
+            continue
+        fwd = pierces(boxes[u], boxes[v])  # v pierces u
+        bwd = pierces(boxes[v], boxes[u])  # u pierces v
+        if fwd and bwd:
+            raise ContractError(
+                f"mutual piercing between {f.rects[u].key} and {f.rects[v].key}"
+            )
+        if fwd:
+            arcs.add((u, v))
+            out[u] |= 1 << v
+        else:
+            arcs.add((v, u))
+            out[v] |= 1 << u
     for u in range(m):
         rest = out[u]
         while rest:
@@ -277,7 +303,10 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
     elements with neither copy covered.
     """
     n = d.n
-    adj = [sorted(v for (u, v) in d.arcs if u == x) for x in range(n)]
+    arcs = sorted(d.arcs)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        adj[u].append(v)
     match_left = _kuhn_matching(n, adj)
     match_right = {v: u for u, v in match_left.items()}
 
@@ -309,10 +338,9 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
             f"chain cover identity failed: antichain {len(members)}, "
             f"matching {len(match_left)}, n {n}"
         )
-    for u in members:
-        for v in members:
-            if u != v and (u, v) in d.arcs:
-                raise ContractError(f"antichain members {u}, {v} are comparable")
+    for u, v in arcs:
+        if u in members and v in members:
+            raise ContractError(f"antichain members {u}, {v} are comparable")
     return IndependentSet(members, len(members))
 
 
@@ -377,10 +405,7 @@ def brute_force_mis(
             f"{len(f.rects)} rectangles exceeds the oracle guard of "
             f"{max_rects}; pass force=True to run anyway"
         )
-    conflicts = [
-        (u, v) for (u, v), k in pairwise_kinds(f).items()
-        if k is not IntersectionKind.DISJOINT
-    ]
+    conflicts = list(_kinds(f))
     result = mis_of_graph(len(f.rects), conflicts)
     conflict_set = set(conflicts)
     for u in result.members:
@@ -402,9 +427,9 @@ def forest_two_color(g: IntersectionGraph) -> tuple[tuple[int, ...], tuple[int, 
             continue
         color[start] = 0
         parent[start] = None
-        queue = [start]
+        queue = deque([start])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in sorted(adj[u]):
                 if v not in color:
                     color[v] = 1 - color[u]

@@ -29,6 +29,7 @@ from rectmatch.geometry import (
     candidate_bichromatic,
     candidate_monochromatic,
     empty_pairs,
+    rank_boxes,
     rect_from_pair,
     rects_conflict,
 )
@@ -96,12 +97,12 @@ def oracle_guard(default: int = DEFAULT_ORACLE_GUARD) -> int:
 # ---------------------------------------------------------------------------
 # Family splits
 
-def _defining_at(f_base: PointSet, r: Rect, x, y) -> Color | None:
-    """Color of a defining point of r sitting exactly at (x, y), if any."""
+def _defining_at(s: PointSet, r: Rect, x: int, y: int) -> Color | None:
+    """Color of a defining point of r at rank position (x, y), if any."""
+    xr, yr = s._ranks
     for idx in (r.a, r.b):
-        p = f_base[idx]
-        if p.x == x and p.y == y:
-            return p.color
+        if xr[idx] == x and yr[idx] == y:
+            return s[idx].color
     return None
 
 
@@ -112,9 +113,9 @@ def split_families_mono(f: RectFamily) -> tuple[RectFamily, RectFamily]:
     orientation.  Degenerate segments satisfy both corner descriptions, so
     they land in both families."""
     first, second = [], []
-    for r in f.rects:
-        bl = _defining_at(f.base, r, r.xmin, r.ymin)
-        br = _defining_at(f.base, r, r.xmax, r.ymin)
+    for r, b in zip(f.rects, rank_boxes(f.base, f.rects)):
+        bl = _defining_at(f.base, r, b.xmin, b.ymin)
+        br = _defining_at(f.base, r, b.xmax, b.ymin)
         if bl is Color.BLUE or br is Color.RED:
             first.append(r)
         if br is Color.BLUE or bl is Color.RED:
@@ -126,9 +127,9 @@ def split_families_bi(f: RectFamily) -> tuple[RectFamily, RectFamily, RectFamily
     """Split mixed candidates by the color of the defining point in the
     bottom-left / bottom-right corner; segments may satisfy several."""
     fams: tuple[list[Rect], ...] = ([], [], [], [])
-    for r in f.rects:
-        bl = _defining_at(f.base, r, r.xmin, r.ymin)
-        br = _defining_at(f.base, r, r.xmax, r.ymin)
+    for r, b in zip(f.rects, rank_boxes(f.base, f.rects)):
+        bl = _defining_at(f.base, r, b.xmin, b.ymin)
+        br = _defining_at(f.base, r, b.xmax, b.ymin)
         if bl is Color.BLUE:
             fams[0].append(r)
         if bl is Color.RED:
@@ -161,8 +162,7 @@ def half_approx_family(fam: RectFamily) -> IndependentSet:
     two-color the remaining contact graph and keep the larger class."""
     anti = exact_independent_rects(fam)
     chosen = sorted(anti.members)
-    sub = RectFamily(fam.base, tuple(fam.rects[i] for i in chosen))
-    g = build_graph(sub)
+    g = build_graph(fam.restrict(chosen))
     side_a, side_b = forest_two_color(g)
     side = side_a if len(side_a) >= len(side_b) else side_b
     members = frozenset(chosen[i] for i in side)
@@ -467,12 +467,18 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     """Check a claimed matching: pair validity and candidacy, the color rule
     of its mode, pairwise disjointness of the spanned rectangles, and report
     whether it is perfect.  Failures are recorded with witnesses, never
-    raised."""
+    raised.
+
+    Disjointness is decided by `rects_conflict` on the exact rectangles,
+    for the pairs whose x-projections overlap: in order of `xmin`, each
+    rectangle meets the later ones up to the first that starts right of
+    its `xmax`."""
     bad_index = tuple(
         (i, j) for i, j in m.pairs
         if not (0 <= i < len(s) and 0 <= j < len(s) and i != j)
     )
-    valid_pairs = [p for p in m.pairs if p not in set(bad_index)]
+    bad = set(bad_index)
+    valid_pairs = [p for p in m.pairs if p not in bad]
     empty = set(empty_pairs(s))
     not_candidates = tuple(p for p in valid_pairs if p not in empty)
     candidacy = Check(
@@ -488,12 +494,17 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     color = Check("color_rule", not bad_color, bad_color)
 
     rects = [rect_from_pair(s, i, j) for i, j in valid_pairs]
-    overlaps = []
-    for a in range(len(rects)):
-        for b in range(a + 1, len(rects)):
+    order = sorted(range(len(rects)), key=lambda a: rects[a].xmin)
+    hits = []
+    for pos, a in enumerate(order):
+        for b in order[pos + 1:]:
+            if rects[b].xmin > rects[a].xmax:
+                break
             if rects_conflict(s, rects[a], rects[b]):
-                overlaps.append((valid_pairs[a], valid_pairs[b]))
-    disjoint = Check("rects_pairwise_disjoint", not overlaps, tuple(overlaps))
+                hits.append((a, b) if a < b else (b, a))
+    hits.sort()
+    overlaps = tuple((valid_pairs[a], valid_pairs[b]) for a, b in hits)
+    disjoint = Check("rects_pairwise_disjoint", not overlaps, overlaps)
 
     return VerificationReport(
         (candidacy, color, disjoint), perfect=m.covers(len(s))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectmatch.errors import ContractError, GuardError
 from rectmatch.geometry import (
@@ -8,6 +10,7 @@ from rectmatch.geometry import (
     PointSet,
     classify_intersection,
     empty_pairs,
+    perturb,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
@@ -327,3 +330,82 @@ class TestDilworthIdentity:
             anti = max_antichain(d)  # raises internally if the identity fails
             assert anti.certificate_size >= 1
             done += 1
+
+
+# Point sets for the sparse-kinds properties: each draws colors at random.
+@st.composite
+def repeated_grid(draw):
+    """Few distinct x and y values, so coordinates repeat."""
+    coords = draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=2, max_size=9))
+    return [(x, y, draw(st.sampled_from("RB"))) for x, y in sorted(coords)]
+
+
+@st.composite
+def perturbed(draw):
+    """Rational coordinates in general position."""
+    pts = draw(repeated_grid())
+    return list((p.x, p.y, p.color) for p in perturb(PointSet.from_tuples(pts), 4))
+
+
+@st.composite
+def collinear_runs(draw):
+    """Points on two vertical and two horizontal lines."""
+    coords = draw(st.sets(st.one_of(
+        st.tuples(st.sampled_from([2, 5]), st.integers(0, 8)),
+        st.tuples(st.integers(0, 8), st.sampled_from([1, 6])),
+    ), min_size=2, max_size=10))
+    return [(x, y, draw(st.sampled_from("RB"))) for x, y in sorted(coords)]
+
+
+def all_pairs_family(s, segments_only=False):
+    """Every pair's rectangle, empty or not; optionally only the segments."""
+    n = len(s)
+    return RectFamily(s, tuple(
+        rect_from_pair(s, i, j) for i in range(n) for j in range(i + 1, n)
+        if not segments_only or s[i].x == s[j].x or s[i].y == s[j].y
+    ))
+
+
+def dense_kinds(f):
+    """Every pair classified on the exact rectangles, disjoint ones dropped."""
+    m = len(f.rects)
+    out = {}
+    for u in range(m):
+        for v in range(u + 1, m):
+            k = classify_intersection(f.base, f.rects[u], f.rects[v])
+            if k is not K.DISJOINT:
+                out[(u, v)] = k
+    return out
+
+
+class TestSparseKinds:
+    """`pairwise_kinds` sweeps rank boxes; it must agree with classifying
+    every pair on `Fraction`s, and a restricted family must inherit exactly
+    the kinds it would compute itself."""
+
+    def check(self, pts, segments_only, rnd):
+        f = all_pairs_family(PointSet.from_tuples(pts), segments_only)
+        kinds = pairwise_kinds(f)
+        assert kinds == dense_kinds(f)
+        assert list(kinds) == sorted(kinds)
+        build_graph(f)  # keeps the kinds on f
+        keep = sorted(rnd.sample(range(len(f)), rnd.randrange(len(f) + 1)))
+        sub = f.restrict(keep)
+        assert build_graph(sub).edges == tuple(
+            (u, v, k) for (u, v), k in pairwise_kinds(sub).items())
+
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_dense_classification(self, pts, segments_only, rnd):
+        self.check(pts, segments_only, rnd)
+
+    @given(collinear_runs(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_segment_only_families(self, pts, rnd):
+        self.check(pts, True, rnd)
+
+    def test_missing_pair_means_disjoint(self):
+        s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))
+        assert pairwise_kinds(family(s, [(0, 1), (2, 3)])) == {}

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectmatch.errors import GuardError
 from rectmatch.geometry import (
@@ -11,6 +13,8 @@ from rectmatch.geometry import (
     PointSet,
     candidate_bichromatic,
     candidate_monochromatic,
+    classify_intersection,
+    perturb,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
@@ -292,7 +296,10 @@ class TestOracle:
         n = 2400
         s = PointSet.from_tuples((x, 0, "B") for x in range(n))
         neighbours = tuple((i, i + 1) for i in range(0, n, 2))
-        assert brute_force_max_matching(s, MatchMode.MONO, max_points=n).pairs == neighbours
+        m = brute_force_max_matching(s, MatchMode.MONO, max_points=n)
+        assert m.pairs == neighbours
+        rep = verify_matching(s, m)
+        assert rep.ok and rep.perfect
         assert count_perfect_matchings(s, MatchMode.MONO, max_points=n) == 1
         assert decide_perfect(s, MatchMode.MONO, max_points=n)
 
@@ -328,6 +335,29 @@ class TestVerifyMatching:
         names = {c.name: c for c in rep.checks}
         assert names["rects_pairwise_disjoint"].witnesses == (((0, 1), (2, 3)),)
 
+    def test_overlap_witnesses_match_all_pairs_scan(self):
+        rng = random.Random(61)
+        flagged = 0
+        for _ in range(80):
+            n = rng.randrange(6, 13)
+            pts = set()
+            while len(pts) < n:
+                pts.add((rng.randrange(6), rng.randrange(6)))
+            s = ps(*((x, y, "B") for x, y in sorted(pts)))
+            idx = list(range(n))
+            rng.shuffle(idx)
+            m = Matching(tuple(zip(idx[::2], idx[1::2])), MatchMode.MONO)
+            rects = [rect_from_pair(s, i, j) for i, j in m.pairs]
+            want = tuple(
+                (m.pairs[a], m.pairs[b])
+                for a in range(len(rects)) for b in range(a + 1, len(rects))
+                if classify_intersection(s, rects[a], rects[b]) is not K.DISJOINT
+            )
+            names = {c.name: c for c in verify_matching(s, m).checks}
+            assert names["rects_pairwise_disjoint"].witnesses == want
+            flagged += bool(want)
+        assert flagged > 20
+
     def test_color_rule_flagged(self):
         s = ps((0, 0, "B"), (1, 1, "R"), (5, 5, "B"), (6, 6, "B"))
         m = Matching(((0, 1), (2, 3)), MatchMode.MONO)
@@ -357,3 +387,26 @@ class TestReportJson:
     def test_deterministic(self):
         s = ps((0, 0, "R"), (1, 1, "B"), (2, 0, "B"), (4, 4, "R"))
         assert report_to_json(approx_mbrm(s)) == report_to_json(approx_mbrm(s))
+
+
+@st.composite
+def solver_inputs(draw):
+    """Small two-colored sets with repeated coordinates, or perturbed into
+    rational general position."""
+    coords = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          min_size=2, max_size=14))
+    s = PointSet.from_tuples(
+        (x, y, draw(st.sampled_from("RB"))) for x, y in sorted(coords))
+    return perturb(s, 6) if draw(st.booleans()) else s
+
+
+@given(solver_inputs())
+@settings(max_examples=100, deadline=None)
+def test_solvers_invariant_under_monotone_recoordinatisation(s):
+    """Only the order of coordinates matters: x -> x^3 + x and
+    y -> 2y + 1/3 leave both approximations' pairs unchanged."""
+    third = Fraction(1, 3)
+    t = PointSet.from_tuples(
+        (p.x ** 3 + p.x, 2 * p.y + third, p.color) for p in s)
+    assert approx_mmrm(t).matching.pairs == approx_mmrm(s).matching.pairs
+    assert approx_mbrm(t).matching.pairs == approx_mbrm(s).matching.pairs
