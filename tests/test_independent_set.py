@@ -384,7 +384,10 @@ class TestSparseKinds:
     every pair on `Fraction`s, and a restricted family must inherit exactly
     the kinds it would compute itself."""
 
-    def check(self, pts, segments_only, rnd):
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dense_classification(self, pts, segments_only, rnd):
         f = all_pairs_family(PointSet.from_tuples(pts), segments_only)
         kinds = pairwise_kinds(f)
         assert kinds == dense_kinds(f)
@@ -394,17 +397,6 @@ class TestSparseKinds:
         sub = f.restrict(keep)
         assert build_graph(sub).edges == tuple(
             (u, v, k) for (u, v), k in pairwise_kinds(sub).items())
-
-    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
-           st.booleans(), st.randoms(use_true_random=False))
-    @settings(max_examples=150, deadline=None)
-    def test_equals_dense_classification(self, pts, segments_only, rnd):
-        self.check(pts, segments_only, rnd)
-
-    @given(collinear_runs(), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_segment_only_families(self, pts, rnd):
-        self.check(pts, True, rnd)
 
     def test_missing_pair_means_disjoint(self):
         s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))
