@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -104,9 +103,6 @@ class PointSet:
     def __getitem__(self, i: int) -> ColoredPoint:
         return self.points[i]
 
-    def has_point_at(self, x: Coord, y: Coord) -> bool:
-        return self._grid.occupied(x, x, y, y)
-
     @cached_property
     def _grid(self) -> "_Grid":
         return _Grid([p.x for p in self.points], [p.y for p in self.points])
@@ -126,12 +122,7 @@ class PointSet:
 
 
 def _dense_ranks(values: list[Coord]) -> list[int]:
-    """The rank of each value among the distinct values.  Values are scaled
-    to integers by their common denominator when that stays machine-sized,
-    so sorting does not compare `Fraction`s."""
-    scale = lcm(*{v.denominator for v in values})
-    if scale.bit_length() <= 64:
-        values = [v.numerator * (scale // v.denominator) for v in values]
+    """The rank of each value among the distinct values."""
     rank = {v: k for k, v in enumerate(sorted(set(values)))}
     return [rank[v] for v in values]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from rectmatch.errors import ContractError, GuardError
@@ -27,6 +28,7 @@ from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
+    classify_intersection,
     contains_point,
     intersection_kinds,
     pierces,
@@ -64,18 +66,22 @@ class RectFamily:
     def keys(self) -> frozenset[tuple[int, int]]:
         return frozenset(r.key for r in self.rects)
 
+    @cached_property
+    def _kinds(self) -> dict[tuple[int, int], IntersectionKind]:
+        """`pairwise_kinds(self)`, computed once per family."""
+        return pairwise_kinds(self)
+
     def restrict(self, indices: Sequence[int]) -> "RectFamily":
         """The sub-family of the members at the ascending `indices`.  Once
         this family's intersection kinds are known, the sub-family inherits
         them instead of classifying its pairs again."""
         sub = RectFamily(self.base, tuple(self.rects[i] for i in indices))
-        kinds = self.__dict__.get("_kinds")
-        if kinds is not None:
+        if "_kinds" in self.__dict__:
             new = {old: k for k, old in enumerate(indices)}
-            object.__setattr__(sub, "_kinds", {
-                (new[u], new[v]): kind for (u, v), kind in kinds.items()
+            sub.__dict__["_kinds"] = {
+                (new[u], new[v]): kind for (u, v), kind in self._kinds.items()
                 if u in new and v in new
-            })
+            }
         return sub
 
 
@@ -116,17 +122,8 @@ def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
     return intersection_kinds(f.base, f.rects)
 
 
-def _kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
-    """`pairwise_kinds(f)`, computed once per family and kept on it."""
-    kinds = f.__dict__.get("_kinds")
-    if kinds is None:
-        kinds = pairwise_kinds(f)
-        object.__setattr__(f, "_kinds", kinds)
-    return kinds
-
-
 def build_graph(f: RectFamily) -> IntersectionGraph:
-    edges = tuple((u, v, kind) for (u, v), kind in _kinds(f).items())
+    edges = tuple((u, v, kind) for (u, v), kind in f._kinds.items())
     return IntersectionGraph(len(f.rects), edges)
 
 
@@ -160,7 +157,7 @@ def _crossing_keys(f: RectFamily, u: int, v: int) -> tuple[tuple[int, int], tupl
 def complete_witness(f: RectFamily) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """A corner pair missing one of its crossing rectangles, or None."""
     keys = f.keys()
-    for (u, v), kind in _kinds(f).items():
+    for (u, v), kind in f._kinds.items():
         if kind is IntersectionKind.CORNER:
             k1, k2 = _crossing_keys(f, u, v)
             if k1 not in keys or k2 not in keys:
@@ -190,7 +187,7 @@ def corner_elimination(
     drops what rescanning for the least live pair after each drop would.
     `on_step` sees the family after each removal (test hook).
     """
-    kinds = _kinds(f)
+    kinds = f._kinds
     witness = complete_witness(f)
     if witness is not None:
         (u, v), missing = witness
@@ -224,7 +221,7 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     structure this solver relies on is broken and a ContractError reports
     the witness.
     """
-    kinds = _kinds(f)
+    kinds = f._kinds
     for (u, v), kind in kinds.items():
         if kind is IntersectionKind.CORNER:
             raise ContractError(
@@ -405,8 +402,13 @@ def brute_force_mis(
             f"{len(f.rects)} rectangles exceeds the oracle guard of "
             f"{max_rects}; pass force=True to run anyway"
         )
-    conflicts = list(_kinds(f))
-    result = mis_of_graph(len(f.rects), conflicts)
+    m = len(f.rects)
+    conflicts = [
+        (u, v) for u in range(m) for v in range(u + 1, m)
+        if classify_intersection(f.base, f.rects[u], f.rects[v])
+        is not IntersectionKind.DISJOINT
+    ]
+    result = mis_of_graph(m, conflicts)
     conflict_set = set(conflicts)
     for u in result.members:
         for v in result.members:
