@@ -176,17 +176,20 @@ class RankBox(NamedTuple):
     ymax: int
 
 
+def _rank_box(xr: list[int], yr: list[int], i: int, j: int) -> RankBox:
+    """The rank box spanned by points i and j, given the x and y ranks of
+    their point set (`PointSet._ranks`)."""
+    xa, xb, ya, yb = xr[i], xr[j], yr[i], yr[j]
+    return RankBox(
+        xa if xa < xb else xb, xb if xa < xb else xa,
+        ya if ya < yb else yb, yb if ya < yb else ya,
+    )
+
+
 def rank_boxes(s: PointSet, rects: Iterable[Rect]) -> list[RankBox]:
     """The rank box of each rectangle of s, in order."""
     xr, yr = s._ranks
-    out = []
-    for r in rects:
-        xa, xb, ya, yb = xr[r.a], xr[r.b], yr[r.a], yr[r.b]
-        out.append(RankBox(
-            xa if xa < xb else xb, xb if xa < xb else xa,
-            ya if ya < yb else yb, yb if ya < yb else ya,
-        ))
-    return out
+    return [_rank_box(xr, yr, r.a, r.b) for r in rects]
 
 
 class _Grid:
@@ -385,20 +388,6 @@ def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
                         out.append((i, j) if i < j else (j, i))
                     max_down = qy
     out.sort()
-    return out
-
-
-def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
-    """Reference quadratic-pairs filter; used to cross-check the sweep."""
-    out = []
-    n = len(s)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = rect_from_pair(s, i, j)
-            if not any(
-                contains_point(r, s[k]) for k in range(n) if k != i and k != j
-            ):
-                out.append((i, j))
     return out
 
 

@@ -11,6 +11,8 @@ The exact oracles `brute_force_max_matching`, `decide_perfect` and
 `count_perfect_matchings` are one depth-first search with three objectives
 (max, decide, count).  Its stack is explicit, so the search has no depth
 limit: inputs of thousands of points are bounded only by the size guard.
+The search runs on integer rank boxes and decides conflicts with the rule
+that classifies intersections everywhere else (`geometry._meet`).
 """
 from __future__ import annotations
 
@@ -24,8 +26,11 @@ from typing import Iterable, Sequence
 from rectmatch.errors import GuardError
 from rectmatch.geometry import (
     Color,
+    IntersectionKind,
     PointSet,
     Rect,
+    _meet,
+    _rank_box,
     candidate_bichromatic,
     candidate_monochromatic,
     empty_pairs,
@@ -233,21 +238,24 @@ def _mode_pairs(s: PointSet, mode: MatchMode) -> list[tuple[int, int]]:
 
 
 class _SearchSpace:
-    """The candidate pairs of a mode as (xmin, xmax, ymin, ymax) boxes:
-    `box[(i, j)]` for i < j, and each point's partners in ascending order
-    with their boxes.  `allowed_pairs`, when given, keeps only those pairs."""
+    """The candidate pairs of a mode as rank boxes: `box[(i, j)]` for i < j,
+    and each point's partners in ascending order with their boxes.
+    `allowed_pairs`, when given, keeps only those pairs.  Conflicts are
+    decided by `geometry._meet` on the rank grid, the rule that
+    `classify_intersection` and `intersection_kinds` run."""
 
     def __init__(self, s: PointSet, mode: MatchMode, allowed_pairs=None):
         keep = None
         if allowed_pairs is not None:
             keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
+        xr, yr = s._ranks
+        self.grid = s._rank_grid
         self.box = {}
         self.partners = [[] for _ in range(len(s))]
         for i, j in _mode_pairs(s, mode):
             if keep is not None and (i, j) not in keep:
                 continue
-            r = rect_from_pair(s, i, j)
-            box = (r.xmin, r.xmax, r.ymin, r.ymax)
+            box = _rank_box(xr, yr, i, j)
             self.box[(i, j)] = box
             self.partners[i].append((j, box))
             self.partners[j].append((i, box))
@@ -255,25 +263,14 @@ class _SearchSpace:
             lst.sort()
 
     def conflicts(self, box, chosen) -> bool:
-        # Candidate rectangles contain no third input point, so a zero-area
-        # overlap through an input point would mean a shared endpoint, which
-        # the vertex-disjointness of the search already rules out; the
-        # point-scan branch of the general conflict test cannot fire here.
+        """True iff box meets one of the chosen boxes; `_meet` decides the
+        boxes whose x and y projections both overlap box's."""
         x1, x2, y1, y2 = box
-        for b1, b2, b3, b4 in chosen:
-            lox = x1 if x1 > b1 else b1
-            hix = x2 if x2 < b2 else b2
-            if lox > hix:
+        grid = self.grid
+        for b in chosen:
+            if b[0] > x2 or b[1] < x1 or b[2] > y2 or b[3] < y1:
                 continue
-            loy = y1 if y1 > b3 else b3
-            hiy = y2 if y2 < b4 else b4
-            if loy > hiy:
-                continue
-            if lox < hix and loy < hiy:
-                return True
-            if x1 <= b1 and b2 <= x2 and b3 <= y1 and y2 <= b4:
-                return True
-            if b1 <= x1 and x2 <= b2 and y1 <= b3 and b4 <= y2:
+            if _meet(box, b, grid) is not IntersectionKind.DISJOINT:
                 return True
         return False
 
@@ -321,10 +318,10 @@ def _search(
         box = space.box.get(key)
         if box is None:
             problem = "is not a candidate pair"
-        elif conflicts(box, chosen):
-            problem = "conflicts with another forced pair"
         elif used[key[0]] or used[key[1]]:
             problem = "reuses a point"
+        elif conflicts(box, chosen):
+            problem = "conflicts with another forced pair"
         else:
             used[key[0]] = used[key[1]] = True
             chosen.append(box)

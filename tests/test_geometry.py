@@ -17,7 +17,6 @@ from rectmatch.geometry import (
     contains_point,
     dump_points,
     empty_pairs,
-    empty_pairs_naive,
     is_general_position,
     parse_points,
     perturb,
@@ -25,6 +24,8 @@ from rectmatch.geometry import (
     point,
     rect_from_pair,
 )
+
+from naive import empty_pairs_naive
 
 
 def ps(*triples):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectmatch.errors import GuardError
@@ -14,6 +14,7 @@ from rectmatch.geometry import (
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
+    empty_pairs,
     perturb,
     rect_from_pair,
 )
@@ -41,6 +42,8 @@ from rectmatch.matching import (
     verify_matching,
     with_oracle,
 )
+
+from naive import matching_sizes_naive
 
 K = IntersectionKind
 
@@ -273,6 +276,25 @@ class TestOracle:
         m = brute_force_max_matching(s, MatchMode.MONO, forced_pairs=[(0, 2)])
         assert (0, 2) in m.pairs and len(m) == 2
 
+    ROW = ((0, 0, "B"), (1, 0, "B"), (2, 0, "B"), (3, 0, "B"))
+    # A horizontal and a vertical segment crossing at (1, 1), which is no
+    # input point; without forced pairs the set has a perfect matching.
+    CROSS = ((0, 1, "B"), (2, 1, "B"), (1, 0, "B"), (1, 2, "B"))
+
+    @pytest.mark.parametrize("points, forced, problem", [
+        (ROW, [(0, 2)], "is not a candidate pair"),
+        # The two segments touch at the input point (1, 0): the shared
+        # point is the problem to report, not the contact.
+        (ROW, [(0, 1), (1, 2)], "reuses a point"),
+        (CROSS, [(0, 1), (2, 3)], "conflicts with another forced pair"),
+    ])
+    def test_forced_pair_errors(self, points, forced, problem):
+        s = ps(*points)
+        assert decide_perfect(s, MatchMode.MONO)
+        with pytest.raises(ValueError, match=problem):
+            brute_force_max_matching(s, MatchMode.MONO, forced_pairs=forced)
+        assert not decide_perfect(s, MatchMode.MONO, forced_pairs=forced)
+
     def test_decide_perfect_parity(self):
         s = ps((0, 0, "B"), (1, 1, "B"), (2, 2, "B"))
         assert not decide_perfect(s, MatchMode.MONO)
@@ -400,13 +422,89 @@ def solver_inputs(draw):
     return perturb(s, 6) if draw(st.booleans()) else s
 
 
+def recoordinatised(s):
+    """s under the strictly increasing maps x -> x^3 + x, y -> 2y + 1/3."""
+    third = Fraction(1, 3)
+    return PointSet.from_tuples(
+        (p.x ** 3 + p.x, 2 * p.y + third, p.color) for p in s)
+
+
 @given(solver_inputs())
 @settings(max_examples=100, deadline=None)
 def test_solvers_invariant_under_monotone_recoordinatisation(s):
     """Only the order of coordinates matters: x -> x^3 + x and
     y -> 2y + 1/3 leave both approximations' pairs unchanged."""
-    third = Fraction(1, 3)
-    t = PointSet.from_tuples(
-        (p.x ** 3 + p.x, 2 * p.y + third, p.color) for p in s)
+    t = recoordinatised(s)
     assert approx_mmrm(t).matching.pairs == approx_mmrm(s).matching.pairs
     assert approx_mbrm(t).matching.pairs == approx_mbrm(s).matching.pairs
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as e:
+        return str(e)
+
+
+@given(solver_inputs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_oracle_invariant_under_monotone_recoordinatisation(s, data):
+    """The three oracle objectives give the same answers, and `max` the same
+    pairs, after x -> x^3 + x and y -> 2y + 1/3, with forced pairs (which
+    may be invalid) and with a restricted set of allowed pairs."""
+    t = recoordinatised(s)
+    for mode in MatchMode:
+        same = mode is MatchMode.MONO
+        pairs = [(i, j) for i, j in empty_pairs(s)
+                 if (s[i].color is s[j].color) == same]
+        forced, allowed = [], None
+        if pairs:
+            forced = data.draw(st.lists(st.sampled_from(pairs), max_size=2))
+            allowed = data.draw(st.none() | st.lists(st.sampled_from(pairs), unique=True))
+        answers = [
+            [
+                _outcome(lambda: brute_force_max_matching(u, mode, forced_pairs=forced).pairs),
+                decide_perfect(u, mode, forced_pairs=forced),
+                count_perfect_matchings(u, mode, allowed_pairs=allowed),
+            ]
+            for u in (s, t)
+        ]
+        assert answers[0] == answers[1]
+
+
+@st.composite
+def oracle_inputs(draw):
+    """At most eight two-colored points on a 5 x 5 grid, so x and y repeat;
+    optionally with a collinear run along a row or a column, and optionally
+    perturbed into rational general position."""
+    coords = draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=1, max_size=8))
+    run = set()
+    if draw(st.booleans()):
+        at, length = draw(st.integers(0, 4)), draw(st.integers(3, 5))
+        lo = draw(st.integers(0, 5 - length))
+        run = {(lo + k, at) for k in range(length)}
+        if draw(st.booleans()):
+            run = {(y, x) for x, y in run}
+    coords = run | set(sorted(coords - run)[:8 - len(run)])
+    s = PointSet.from_tuples(
+        (x, y, draw(st.sampled_from("RB"))) for x, y in sorted(coords))
+    return perturb(s, 4) if draw(st.booleans()) else s
+
+
+@given(oracle_inputs())
+# Random draws seldom hit a contact that changes an answer, so two that do
+# are always run: rectangles touching along x = 1 away from every input
+# point, which may coexist, and two segments crossing at (1, 1), which may not.
+@example(ps((0, 2, "B"), (1, 0, "B"), (1, 3, "B"), (3, 1, "B")))
+@example(ps((0, 1, "B"), (2, 1, "B"), (1, 0, "B"), (1, 2, "B")))
+@settings(max_examples=200, deadline=None)
+def test_oracle_matches_subset_enumeration(s):
+    """The oracle's maximum, its decision and its count of perfect
+    matchings equal those of enumerating every conflict-free set of
+    candidate pairs with `rects_conflict` on the exact rectangles."""
+    for mode in MatchMode:
+        best, perfect = matching_sizes_naive(s, mode is MatchMode.MONO)
+        assert len(brute_force_max_matching(s, mode)) == best
+        assert decide_perfect(s, mode) == (2 * best == len(s))
+        assert count_perfect_matchings(s, mode) == perfect
