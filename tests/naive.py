@@ -1,6 +1,6 @@
 """Quadratic and exhaustive reference implementations that the tests compare
-the package against.  They work on the exact `Fraction` rectangles and never
-touch coordinate ranks."""
+the package against.  They work on the exact `Fraction` rectangles, not on
+rank boxes."""
 from __future__ import annotations
 
 from rectmatch.geometry import PointSet, contains_point, rect_from_pair, rects_conflict
