@@ -32,7 +32,6 @@ from rectmatch.independent_set import (
     build_graph,
     corner_elimination,
     forest_two_color,
-    gpc_subgraph,
     max_antichain,
     piercing_order,
     verify_complete,
@@ -71,7 +70,7 @@ __all__ = [
     "perturb", "rect_from_pair", "save_points",
     "IndependentSet", "IntersectionGraph", "PiercingDag", "RectFamily",
     "brute_force_mis", "build_graph", "corner_elimination",
-    "forest_two_color", "gpc_subgraph", "max_antichain", "piercing_order",
+    "forest_two_color", "max_antichain", "piercing_order",
     "verify_complete",
     "MatchMode", "Matching", "SolveReport", "approx_mbrm", "approx_mmrm",
     "brute_force_max_matching", "decide_perfect", "half_approx_family",

@@ -33,6 +33,10 @@ def _mode(text: str) -> MatchMode:
     return MatchMode.MONO if text == "mono" else MatchMode.BI
 
 
+def _approx(s, mode: MatchMode):
+    return approx_mmrm(s) if mode is MatchMode.MONO else approx_mbrm(s)
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -82,7 +86,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     s = load_points(args.points)
-    report = approx_mmrm(s) if args.mode == "mono" else approx_mbrm(s)
+    report = _approx(s, _mode(args.mode))
     if args.with_oracle:
         try:
             with_oracle(s, report, guard=args.guard)
@@ -141,12 +145,11 @@ def cmd_bench(args) -> int:
         seed = args.seed + t
         s = gadgets.random_instance(args.n, args.grid, args.red_fraction, seed)
         for mode_name in modes:
-            report = approx_mmrm(s) if mode_name == "mono" else approx_mbrm(s)
+            mode = _mode(mode_name)
+            report = _approx(s, mode)
             opt_text = ratio_text = ""
             try:
-                opt = brute_force_max_matching(
-                    s, _mode(mode_name), max_points=args.guard
-                )
+                opt = brute_force_max_matching(s, mode, max_points=args.guard)
             except GuardError:
                 pass
             else:

@@ -7,6 +7,11 @@ red points so that two blue points can be matched exactly when they span one
 of the designated axis-aligned segments.  Variable boundaries admit exactly
 two perfect matchings (a 0- and a 1-assignment); each comb completes
 perfectly exactly when one of its three literals is satisfied.
+
+`monochromatize` and `bichromatize` are one recoloring with two inputs: the
+blue colors (all blue, or one red end per designated segment) and the
+cluster that replaces each blocker (the 12-point blocking gadget, or an
+8-point two-colored cluster), scaled from the cluster's own extent.
 """
 from __future__ import annotations
 
@@ -255,6 +260,21 @@ def _on_any_segment(x: int, y: int, segs) -> bool:
     return False
 
 
+def _lattice_gaps(pts: Sequence[tuple[int, int]], segments, k: int):
+    """The points of the step-k lattice in the bounding box of `pts`, x-major,
+    that are off the step-2k lattice and on no designated segment (index
+    pairs into `pts`)."""
+    segs = [(pts[i], pts[j]) for i, j in segments]
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    return [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1, k)
+        for y in range(min(ys), max(ys) + 1, k)
+        if (x % (2 * k) or y % (2 * k)) and not _on_any_segment(x, y, segs)
+    ]
+
+
 def red_fill(blues: Sequence[tuple[int, int]], segments: Sequence[tuple[int, int]]):
     """Surround a blue layout with red points so that exactly the designated
     segments survive as matchable blue pairs.
@@ -271,19 +291,7 @@ def red_fill(blues: Sequence[tuple[int, int]], segments: Sequence[tuple[int, int
     if not blues:
         return [], []
     scaled = [(2 * x, 2 * y) for x, y in blues]
-    segs = [(scaled[i], scaled[j]) for i, j in segments]
-    xmin = min(x for x, _ in scaled)
-    xmax = max(x for x, _ in scaled)
-    ymin = min(y for _, y in scaled)
-    ymax = max(y for _, y in scaled)
-    reds = []
-    for x in range(xmin, xmax + 1):
-        for y in range(ymin, ymax + 1):
-            if x % 2 == 0 and y % 2 == 0:
-                continue
-            if _on_any_segment(x, y, segs):
-                continue
-            reds.append((x, y))
+    reds = _lattice_gaps(scaled, segments, 1)
     blues4 = [(2 * x, 2 * y) for x, y in scaled]
     reds4 = [(2 * x, 2 * y) for x, y in reds]
     reds4 += [(x, y - 1) for x, y in reds4]
@@ -435,10 +443,6 @@ class CombLayout:
     levels: dict
     slot_order: dict
 
-    @property
-    def max_level(self) -> int:
-        return max(self.levels.values(), default=0)
-
 
 def build_layout(f: Formula) -> CombLayout:
     """Derive and validate the comb layout for a formula.
@@ -481,34 +485,29 @@ def build_layout(f: Formula) -> CombLayout:
                     continue                      # side by side at one variable
                 raise ValueError(f"clauses {ca} and {cb} cross on side {side!r}")
 
+    # A clause's level is one more than the highest level nested inside it,
+    # 0 if none.  A nested span is strictly narrower than the span around it,
+    # so visiting spans by width sets every inner level before it is read.
     levels = {}
-
-    def level_of(ci: int) -> int:
-        if ci in levels:
-            return levels[ci]
+    for ci in sorted(spans, key=lambda ci: spans[ci][1] - spans[ci][0]):
         l, r = spans[ci]
-        inner = [
-            cj for cj in by_side[f.clauses[ci].side]
-            if cj != ci
-            and l <= spans[cj][0] and spans[cj][1] <= r
+        levels[ci] = 1 + max((
+            levels[cj] for cj in by_side[f.clauses[ci].side]
+            if l <= spans[cj][0] and spans[cj][1] <= r
             and spans[cj] != spans[ci]
-        ]
-        levels[ci] = 1 + max((level_of(cj) for cj in inner), default=-1)
-        return levels[ci]
-
-    for ci in range(len(f.clauses)):
-        level_of(ci)
+        ), default=-1)
 
     # Left-to-right leg order on each (variable, side): right-ending combs
     # innermost first, then the (unique) spanning comb, then left-ending
     # combs outermost first.
+    incident_to: dict[tuple[str, str], list[int]] = {}
+    for ci, c in enumerate(f.clauses):
+        for l in c.literals:
+            incident_to.setdefault((l.var, c.side), []).append(ci)
     slot_order: dict[tuple[str, str], list[int]] = {}
     for v, vi in order.items():
         for side in ("above", "below"):
-            incident = [
-                ci for ci in by_side[side]
-                if any(l.var == v for l in f.clauses[ci].literals)
-            ]
+            incident = incident_to.get((v, side), [])
             right_enders = sorted(
                 (ci for ci in incident if spans[ci][1] == vi and spans[ci][0] != vi),
                 key=lambda ci: -spans[ci][0],
@@ -650,20 +649,7 @@ def greens_of(g: GadgetInstance) -> list[tuple[int, int]]:
     These are the even grid points of the blue bounding box with a
     coordinate congruent to 2 mod 4 that lie on no designated segment."""
     blues = [(int(p.x), int(p.y)) for p in g.blues()]
-    segs = [(blues[i], blues[j]) for i, j in g.allowed_segments]
-    xmin = min(x for x, _ in blues)
-    xmax = max(x for x, _ in blues)
-    ymin = min(y for _, y in blues)
-    ymax = max(y for _, y in blues)
-    greens = []
-    for x in range(xmin, xmax + 1, 2):
-        for y in range(ymin, ymax + 1, 2):
-            if x % 4 == 0 and y % 4 == 0:
-                continue
-            if _on_any_segment(x, y, segs):
-                continue
-            greens.append((x, y))
-    return greens
+    return _lattice_gaps(blues, g.allowed_segments, 2)
 
 
 def _cluster_delta(n: int) -> Fraction:
@@ -673,30 +659,38 @@ def _cluster_delta(n: int) -> Fraction:
     return Fraction(1, 3 * (2 * n + 1))
 
 
+def _replace_blockers(
+    g: GadgetInstance, colors: Sequence[Color], cluster: PointSet
+) -> PointSet:
+    """Color the blues by `colors`, shear them and the blockers into general
+    position, then replace each blocker with a copy of `cluster` shrunk
+    about its bounding-box center to half of `_cluster_delta` across."""
+    blues = [(int(p.x), int(p.y)) for p in g.blues()]
+    greens = greens_of(g)
+    staged = PointSet.from_tuples(
+        [(x, y, c) for (x, y), c in zip(blues, colors)]
+        + [(x, y, Color.BLUE) for x, y in greens]
+    )
+    n = max(max(x, y) for x, y in blues + greens)
+    sheared = perturb(staged, n)
+    xs = [p.x for p in cluster]
+    ys = [p.y for p in cluster]
+    cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
+    scale = _cluster_delta(n) / (2 * max(max(xs) - min(xs), max(ys) - min(ys)))
+    out = list(sheared.points[: len(blues)])
+    for gp in sheared.points[len(blues):]:
+        for p in cluster:
+            out.append(ColoredPoint(
+                gp.x + scale * (p.x - cx), gp.y + scale * (p.y - cy), p.color
+            ))
+    return PointSet(tuple(out))
+
+
 def monochromatize(g: GadgetInstance) -> PointSet:
     """One-colored instance with the same perfect-matching answer: shear the
     blues and blockers into general position, then replace each blocker with
     a shrunken copy of the 12-point blocking gadget."""
-    blues = [(int(p.x), int(p.y)) for p in g.blues()]
-    greens = greens_of(g)
-    staged = PointSet.from_tuples(
-        [(x, y, "B") for x, y in blues] + [(x, y, "B") for x, y in greens]
-    )
-    n = max(max(x, y) for x, y in blues + greens)
-    sheared = perturb(staged, n)
-    delta = _cluster_delta(n)
-    scale = delta / 10
-    out = list(sheared.points[: len(blues)])
-    center = Fraction(5, 2)
-    for k in range(len(greens)):
-        gp = sheared[len(blues) + k]
-        for mx, my in _BLOCKER_OUTER + _BLOCKER_INNER:
-            out.append(ColoredPoint(
-                gp.x + scale * (mx - center),
-                gp.y + scale * (my - center),
-                Color.BLUE,
-            ))
-    return PointSet(tuple(out))
+    return _replace_blockers(g, [Color.BLUE] * g.blue_count, blocking_gadget())
 
 
 def recolor_for_bichromatic(g: GadgetInstance) -> list[Color]:
@@ -735,28 +729,9 @@ def bichromatize(g: GadgetInstance) -> PointSet:
     designated segment red, shear, and replace each blocker with the
     eight-point two-colored cluster (two internal perfect matchings, reds
     enclosed on all sides)."""
-    blues = [(int(p.x), int(p.y)) for p in g.blues()]
-    colors = recolor_for_bichromatic(g)
-    greens = greens_of(g)
-    staged = PointSet.from_tuples(
-        [(x, y, c.value) for (x, y), c in zip(blues, colors)]
-        + [(x, y, "B") for x, y in greens]
+    return _replace_blockers(
+        g, recolor_for_bichromatic(g), PointSet.from_tuples(_BI_CLUSTER)
     )
-    n = max(max(x, y) for x, y in blues + greens)
-    sheared = perturb(staged, n)
-    delta = _cluster_delta(n)
-    scale = delta / 14
-    out = list(sheared.points[: len(blues)])
-    center = Fraction(7, 2)
-    for k in range(len(greens)):
-        gp = sheared[len(blues) + k]
-        for cx, cy, cc in _BI_CLUSTER:
-            out.append(ColoredPoint(
-                gp.x + scale * (cx - center),
-                gp.y + scale * (cy - center),
-                Color(cc),
-            ))
-    return PointSet(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,6 @@ class IntersectionKind(Enum):
     SIDE = "side"
 
 
-def coord(value) -> Coord:
-    """Coerce an int, string like ``5`` / ``2/7``, or Fraction to an exact Coord."""
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class ColoredPoint:
     x: Coord
@@ -84,10 +79,6 @@ class PointSet:
             if key in seen:
                 raise ValueError(f"duplicate point at ({p.x}, {p.y})")
             seen.add(key)
-
-    @classmethod
-    def of(cls, pts: Iterable[ColoredPoint]) -> "PointSet":
-        return cls(tuple(pts))
 
     @classmethod
     def from_tuples(cls, triples: Iterable[tuple]) -> "PointSet":
@@ -391,22 +382,23 @@ def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
     return out
 
 
+def _color_pairs(s: PointSet, same: bool) -> list[tuple[int, int]]:
+    """The empty pairs of s whose two points have the same color (`same`)
+    or different colors."""
+    return [
+        (i, j) for i, j in empty_pairs(s)
+        if (s[i].color is s[j].color) == same
+    ]
+
+
 def candidate_monochromatic(s: PointSet) -> list[Rect]:
     """All empty rectangles over same-colored pairs of s."""
-    return [
-        rect_from_pair(s, i, j)
-        for i, j in empty_pairs(s)
-        if s[i].color is s[j].color
-    ]
+    return [rect_from_pair(s, i, j) for i, j in _color_pairs(s, True)]
 
 
 def candidate_bichromatic(s: PointSet) -> list[Rect]:
     """All empty rectangles over differently-colored pairs of s."""
-    return [
-        rect_from_pair(s, i, j)
-        for i, j in empty_pairs(s)
-        if s[i].color is not s[j].color
-    ]
+    return [rect_from_pair(s, i, j) for i, j in _color_pairs(s, False)]
 
 
 def perturb(s: PointSet, n: int) -> PointSet:

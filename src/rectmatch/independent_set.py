@@ -109,11 +109,6 @@ class PiercingDag:
 @dataclass(frozen=True)
 class IndependentSet:
     members: frozenset[int]
-    certificate_size: int
-
-    def __post_init__(self):
-        if self.certificate_size != len(self.members):
-            raise ValueError("certificate size disagrees with member count")
 
 
 def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
@@ -125,15 +120,6 @@ def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
 def build_graph(f: RectFamily) -> IntersectionGraph:
     edges = tuple((u, v, kind) for (u, v), kind in f._kinds.items())
     return IntersectionGraph(len(f.rects), edges)
-
-
-def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:
-    """Keep only piercing and corner edges."""
-    kept = tuple(
-        e for e in g.edges
-        if e[2] in (IntersectionKind.PIERCING, IntersectionKind.CORNER)
-    )
-    return IntersectionGraph(g.n, kept)
 
 
 def _crossing_keys(f: RectFamily, u: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -338,7 +324,7 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
     for u, v in arcs:
         if u in members and v in members:
             raise ContractError(f"antichain members {u}, {v} are comparable")
-    return IndependentSet(members, len(members))
+    return IndependentSet(members)
 
 
 def _greedy_independent(n: int, adj_mask: list[int]) -> int:
@@ -388,7 +374,7 @@ def mis_of_graph(n: int, conflict_pairs: Iterable[tuple[int, int]]) -> Independe
 
     expand((1 << n) - 1, 0, 0)
     members = frozenset(v for v in range(n) if (best_mask >> v) & 1)
-    return IndependentSet(members, best_size)
+    return IndependentSet(members)
 
 
 def brute_force_mis(
@@ -459,8 +445,3 @@ def _reconstruct_cycle(u: int, v: int, parent: dict[int, int | None]) -> list[in
     cut_u = next(i for i, x in enumerate(pu) if x in common)
     cut_v = next(i for i, x in enumerate(pv) if x in common)
     return pu[: cut_u + 1] + pv[:cut_v][::-1]
-
-
-def dump_edges(g: IntersectionGraph) -> str:
-    """Debug dump: one `i j KIND` line per edge."""
-    return "".join(f"{u} {v} {k.name}\n" for u, v, k in g.edges)

@@ -1,11 +1,14 @@
 """Maximum strong matchings with rectangles: 1/4-approximations and oracles.
 
 A strong matching is a set of pairwise-disjoint empty rectangles, each
-spanned by two input points.  The monochromatic solver splits the candidate
-family in two by which corner holds a defining point, solves the
-piercing+corner structure of each half exactly, breaks the leftover point
-contacts by a two-coloring, and keeps the better half.  The bichromatic
-solver splits four ways and each quarter is solved exactly outright.
+spanned by two input points.  Both 1/4-approximations run one driver: split
+the candidates into corner families by the color of the defining point in
+the bottom-left or bottom-right corner, solve each family's independent
+set, and match the largest.  The two differ only in data: same-colored or
+mixed candidates, two families or four, and the per-family solver.  A
+monochromatic family is solved to within a half (its piercing+corner
+structure exactly, then a two-coloring of the leftover point contacts), a
+bichromatic one exactly.
 
 The exact oracles `brute_force_max_matching`, `decide_perfect` and
 `count_perfect_matchings` are one depth-first search with three objectives
@@ -21,7 +24,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from rectmatch.errors import GuardError
 from rectmatch.geometry import (
@@ -29,6 +32,7 @@ from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
+    _color_pairs,
     _meet,
     _rank_box,
     candidate_bichromatic,
@@ -111,39 +115,45 @@ def _defining_at(s: PointSet, r: Rect, x: int, y: int) -> Color | None:
     return None
 
 
-def split_families_mono(f: RectFamily) -> tuple[RectFamily, RectFamily]:
+# The corner families as sets of (corner, color): a rectangle joins every
+# family that holds the color of one of its bottom corners' defining points.
+_BL, _BR = 0, 1
+_MONO_FAMILIES = (
+    {(_BL, Color.BLUE), (_BR, Color.RED)},
+    {(_BR, Color.BLUE), (_BL, Color.RED)},
+)
+_BI_FAMILIES = (
+    {(_BL, Color.BLUE)}, {(_BL, Color.RED)}, {(_BR, Color.BLUE)}, {(_BR, Color.RED)},
+)
+
+
+def _split(f: RectFamily, families) -> tuple[RectFamily, ...]:
+    """One family per entry of `families`, each in the order of `f.rects`."""
+    out: tuple[list[Rect], ...] = tuple([] for _ in families)
+    for r, b in zip(f.rects, rank_boxes(f.base, f.rects)):
+        corners = {
+            (_BL, _defining_at(f.base, r, b.xmin, b.ymin)),
+            (_BR, _defining_at(f.base, r, b.xmax, b.ymin)),
+        }
+        for rs, family in zip(out, families):
+            if corners & family:
+                rs.append(r)
+    return tuple(RectFamily(f.base, tuple(rs)) for rs in out)
+
+
+def split_families_mono(f: RectFamily) -> tuple[RectFamily, ...]:
     """Split same-color candidates: the first family takes blue rectangles
     with a defining point in the bottom-left corner and red ones with a
     defining point in the bottom-right corner; the second the mirror
     orientation.  Degenerate segments satisfy both corner descriptions, so
     they land in both families."""
-    first, second = [], []
-    for r, b in zip(f.rects, rank_boxes(f.base, f.rects)):
-        bl = _defining_at(f.base, r, b.xmin, b.ymin)
-        br = _defining_at(f.base, r, b.xmax, b.ymin)
-        if bl is Color.BLUE or br is Color.RED:
-            first.append(r)
-        if br is Color.BLUE or bl is Color.RED:
-            second.append(r)
-    return RectFamily(f.base, tuple(first)), RectFamily(f.base, tuple(second))
+    return _split(f, _MONO_FAMILIES)
 
 
-def split_families_bi(f: RectFamily) -> tuple[RectFamily, RectFamily, RectFamily, RectFamily]:
-    """Split mixed candidates by the color of the defining point in the
-    bottom-left / bottom-right corner; segments may satisfy several."""
-    fams: tuple[list[Rect], ...] = ([], [], [], [])
-    for r, b in zip(f.rects, rank_boxes(f.base, f.rects)):
-        bl = _defining_at(f.base, r, b.xmin, b.ymin)
-        br = _defining_at(f.base, r, b.xmax, b.ymin)
-        if bl is Color.BLUE:
-            fams[0].append(r)
-        if bl is Color.RED:
-            fams[1].append(r)
-        if br is Color.BLUE:
-            fams[2].append(r)
-        if br is Color.RED:
-            fams[3].append(r)
-    return tuple(RectFamily(f.base, tuple(rs)) for rs in fams)  # type: ignore[return-value]
+def split_families_bi(f: RectFamily) -> tuple[RectFamily, ...]:
+    """Split mixed candidates four ways by the color of the defining point in
+    the bottom-left / bottom-right corner; segments may satisfy several."""
+    return _split(f, _BI_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +168,7 @@ def exact_independent_rects(fam: RectFamily) -> IndependentSet:
     anti = max_antichain(dag)
     back = {r.key: i for i, r in enumerate(fam.rects)}
     members = frozenset(back[reduced.rects[i].key] for i in anti.members)
-    return IndependentSet(members, len(members))
+    return IndependentSet(members)
 
 
 def half_approx_family(fam: RectFamily) -> IndependentSet:
@@ -171,48 +181,38 @@ def half_approx_family(fam: RectFamily) -> IndependentSet:
     side_a, side_b = forest_two_color(g)
     side = side_a if len(side_a) >= len(side_b) else side_b
     members = frozenset(chosen[i] for i in side)
-    return IndependentSet(members, len(members))
+    return IndependentSet(members)
 
 
-def _matching_from_rects(rects: Iterable[Rect], mode: MatchMode) -> Matching:
-    return Matching(tuple(r.key for r in rects), mode)
+def _best_family(
+    candidates: RectFamily, fams, solve, mode: MatchMode
+) -> SolveReport:
+    """Solve each family with `solve` and match the rectangles of the
+    largest independent set; a later family wins only if strictly larger."""
+    best: list[Rect] = []
+    best_size = -1
+    for fam in fams:
+        members = solve(fam).members
+        if len(members) > best_size:
+            best_size = len(members)
+            best = [fam.rects[i] for i in sorted(members)]
+    matching = Matching(tuple(r.key for r in best), mode)
+    return SolveReport(matching, "quarter_approx", len(candidates),
+                       tuple(len(fam) for fam in fams))
 
 
 def approx_mmrm(s: PointSet) -> SolveReport:
-    """Monochromatic matching of size at least a quarter of the optimum."""
-    candidates = candidate_monochromatic(s)
-    f = RectFamily(s, tuple(candidates))
-    fam1, fam2 = split_families_mono(f)
-    best_rects: list[Rect] = []
-    sizes = []
-    best = None
-    for fam in (fam1, fam2):
-        ind = half_approx_family(fam)
-        sizes.append(len(fam))
-        if best is None or ind.certificate_size > best.certificate_size:
-            best = ind
-            best_rects = [fam.rects[i] for i in sorted(ind.members)]
-    matching = _matching_from_rects(best_rects, MatchMode.MONO)
-    return SolveReport(matching, "quarter_approx", len(candidates), tuple(sizes))
+    """Monochromatic matching of size at least a quarter of the optimum;
+    each of the two corner families is solved to within a half."""
+    f = RectFamily(s, tuple(candidate_monochromatic(s)))
+    return _best_family(f, split_families_mono(f), half_approx_family, MatchMode.MONO)
 
 
 def approx_mbrm(s: PointSet) -> SolveReport:
     """Bichromatic matching of size at least a quarter of the optimum; each
     of the four corner families is solved exactly."""
-    candidates = candidate_bichromatic(s)
-    f = RectFamily(s, tuple(candidates))
-    fams = split_families_bi(f)
-    best_rects: list[Rect] = []
-    sizes = []
-    best = None
-    for fam in fams:
-        ind = exact_independent_rects(fam)
-        sizes.append(len(fam))
-        if best is None or ind.certificate_size > best.certificate_size:
-            best = ind
-            best_rects = [fam.rects[i] for i in sorted(ind.members)]
-    matching = _matching_from_rects(best_rects, MatchMode.BI)
-    return SolveReport(matching, "quarter_approx", len(candidates), tuple(sizes))
+    f = RectFamily(s, tuple(candidate_bichromatic(s)))
+    return _best_family(f, split_families_bi(f), exact_independent_rects, MatchMode.BI)
 
 
 def with_oracle(s: PointSet, report: SolveReport, *, guard: int | None = None) -> SolveReport:
@@ -229,14 +229,6 @@ def with_oracle(s: PointSet, report: SolveReport, *, guard: int | None = None) -
 # ---------------------------------------------------------------------------
 # Exact oracle
 
-def _mode_pairs(s: PointSet, mode: MatchMode) -> list[tuple[int, int]]:
-    same = mode is MatchMode.MONO
-    return [
-        (i, j) for i, j in empty_pairs(s)
-        if (s[i].color is s[j].color) == same
-    ]
-
-
 class _SearchSpace:
     """The candidate pairs of a mode as rank boxes: `box[(i, j)]` for i < j,
     and each point's partners in ascending order with their boxes.
@@ -252,7 +244,7 @@ class _SearchSpace:
         self.grid = s._rank_grid
         self.box = {}
         self.partners = [[] for _ in range(len(s))]
-        for i, j in _mode_pairs(s, mode):
+        for i, j in _color_pairs(s, mode is MatchMode.MONO):
             if keep is not None and (i, j) not in keep:
                 continue
             box = _rank_box(xr, yr, i, j)

@@ -1,9 +1,16 @@
 """Quadratic and exhaustive reference implementations that the tests compare
-the package against.  They work on the exact `Fraction` rectangles, not on
-rank boxes."""
+the package against, and small helpers only the tests need.  The references
+work on the exact `Fraction` rectangles, not on rank boxes."""
 from __future__ import annotations
 
-from rectmatch.geometry import PointSet, contains_point, rect_from_pair, rects_conflict
+from rectmatch.geometry import (
+    IntersectionKind,
+    PointSet,
+    contains_point,
+    rect_from_pair,
+    rects_conflict,
+)
+from rectmatch.independent_set import IntersectionGraph
 
 
 def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
@@ -46,3 +53,17 @@ def matching_sizes_naive(s: PointSet, same_color: bool) -> tuple[int, int]:
 
     extend(0, frozenset(), [])
     return best, perfect
+
+
+def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:
+    """Keep only piercing and corner edges."""
+    kept = tuple(
+        e for e in g.edges
+        if e[2] in (IntersectionKind.PIERCING, IntersectionKind.CORNER)
+    )
+    return IntersectionGraph(g.n, kept)
+
+
+def dump_edges(g: IntersectionGraph) -> str:
+    """Debug dump: one `i j KIND` line per edge."""
+    return "".join(f"{u} {v} {k.name}\n" for u, v, k in g.edges)

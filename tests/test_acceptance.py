@@ -23,7 +23,6 @@ from rectmatch.independent_set import (
     brute_force_mis,
     build_graph,
     corner_elimination,
-    gpc_subgraph,
     mis_of_graph,
     pairwise_kinds,
     piercing_order,
@@ -54,6 +53,8 @@ from rectmatch.gadgets import (
     red_vertical_pairs,
     variable_gadget,
 )
+
+from naive import gpc_subgraph
 
 K = IntersectionKind
 BIG = 10 ** 7
@@ -109,8 +110,8 @@ def test_criterion_2_half_bound_per_family(corpus):
                 continue
             if len(fam) == 0:
                 continue
-            opt = brute_force_mis(fam).certificate_size
-            got = half_approx_family(fam).certificate_size
+            opt = len(brute_force_mis(fam).members)
+            got = len(half_approx_family(fam).members)
             checked += 1
             if got < math.ceil(opt / 2):
                 violations.append((seed, got, opt))
@@ -131,8 +132,8 @@ def test_criterion_3_bichromatic_exactness(corpus):
                 assert kind in (K.DISJOINT, K.PIERCING, K.CORNER), (
                     seed, fam.rects[u].key, fam.rects[v].key, kind
                 )
-            exact = exact_independent_rects(fam).certificate_size
-            oracle = brute_force_mis(fam, force=True).certificate_size
+            exact = len(exact_independent_rects(fam).members)
+            oracle = len(brute_force_mis(fam, force=True).members)
             assert exact == oracle, (seed, exact, oracle)
             families += 1
     print(f"\n[PASS] criterion 3: exact solves on {families} bichromatic "
@@ -200,7 +201,7 @@ def _random_complete_family(rng, cap=18):
 
 def _gpc_alpha(fam):
     g = gpc_subgraph(build_graph(fam))
-    return mis_of_graph(g.n, [(u, v) for u, v, _ in g.edges]).certificate_size
+    return len(mis_of_graph(g.n, [(u, v) for u, v, _ in g.edges]).members)
 
 
 def test_criterion_4_corner_elimination_sound():

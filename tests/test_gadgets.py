@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from rectmatch.geometry import (
     Color,
     PointSet,
     candidate_monochromatic,
+    dump_points,
     empty_pairs,
     is_general_position,
     perturb,
@@ -460,3 +462,79 @@ class TestLayoutValidation:
                     ([("u", 0), ("v", 0), ("w", 0)], "above"),
                     ([("u", 1), ("v", 1), ("w", 1)], "below"))
         build_layout(f)
+
+    @pytest.mark.parametrize("f, levels", [
+        (formula("uvwx",
+                 ([("u", 0), ("v", 1), ("x", 0)], "below"),
+                 ([("v", 1), ("w", 1), ("x", 0)], "below")),
+         {0: 1, 1: 0}),
+        (formula("uvw",
+                 ([("u", 0), ("v", 0), ("w", 0)], "above"),
+                 ([("u", 1), ("v", 1), ("w", 1)], "below")),
+         {0: 0, 1: 0}),
+        (formula("abcdefg",
+                 ([("a", 0), ("b", 0), ("d", 0)], "above"),
+                 ([("d", 0), ("e", 0), ("g", 0)], "above"),
+                 ([("a", 0), ("c", 0), ("g", 0)], "below")),
+         {0: 0, 1: 0, 2: 0}),
+        (formula("abcdefghij",
+                 ([("a", 0), ("b", 0), ("j", 0)], "above"),
+                 ([("b", 0), ("c", 0), ("e", 0)], "above"),
+                 ([("c", 0), ("d", 0), ("e", 0)], "above"),
+                 ([("f", 0), ("g", 0), ("i", 0)], "above"),
+                 ([("a", 1), ("e", 0), ("j", 1)], "below")),
+         {0: 2, 1: 1, 2: 0, 3: 0, 4: 0}),
+    ], ids=["nested-below", "opposite", "side-by-side", "tree"])
+    def test_levels(self, f, levels):
+        # Pinned from the recursive level computation this one replaced.
+        assert build_layout(f).levels == levels
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        # Clause i is (v_i, v_{i+1}, v_{N-i}), N = 2k+2: each clause nests
+        # inside the one before.  k = 1001 is one more than CPython's
+        # default recursion limit.
+        k = 1001
+        n = 2 * k + 2
+        names = [f"v{i}" for i in range(n + 1)]
+        f = formula(names, *(
+            ([(names[i], 0), (names[i + 1], 0), (names[n - i], 0)], "above")
+            for i in range(k)
+        ))
+        layout = build_layout(f)
+        assert layout.levels == {i: k - 1 - i for i in range(k)}
+
+
+def _recolor_inputs():
+    gadgets = {
+        f"variable{d}": build_gadget(*variable_gadget(d), {"recipe": "variable"})
+        for d in (1, 2, 3)
+    }
+    gadgets["clause-above"] = compile_planar_1in3(
+        formula("uvw", ([("u", 0), ("v", 0), ("w", 0)], "above")))
+    gadgets["clause-below"] = compile_planar_1in3(
+        formula("uvw", ([("u", 1), ("v", 0), ("w", 1)], "below")))
+    return gadgets
+
+
+# sha256 of `dump_points` of each recoloring, recorded before the two
+# recolorings were merged into one routine.
+RECOLOR_DIGESTS = {
+    ("variable1", "mono"): "9f0a265054028fbb02c9e03838891c2d4b08c4e4b1914b6a2f3fc9aad66324df",
+    ("variable1", "bi"): "2780cc870d97478c5ff55d045a34d58252a32db217211db0f316731593fa87bd",
+    ("variable2", "mono"): "9796ab450cc761cc88889961089fb73faadd57f66cd4ef5c996ea23176738fea",
+    ("variable2", "bi"): "879fccea465b3ccba917bc26f9b19f21ff05d7cb684909aeb539c7590a8b048c",
+    ("variable3", "mono"): "bd5fc8eff16637064261f9635307998af6aa97f8c8fa426d187d5f0caffa0502",
+    ("variable3", "bi"): "74bbb6a0f9daeec335718fc52337697d999eff2fe7cac56b8cf8dd7f830a28e4",
+    ("clause-above", "mono"): "faec6133fcfd89c069a6da3774243151bb47a90f3f7904755dded96094f629a8",
+    ("clause-above", "bi"): "26c25eade35a4bbaf05d0bb5feb36e22ae13fa9835ebba9c8ed6a40ce067d088",
+    ("clause-below", "mono"): "ce8c94704ea1c941ea40020ad31a88dbf387338ef6dfd5b99c2f16fe42670f9c",
+    ("clause-below", "bi"): "515b87ab633d156e1d5d8339e02815acc80fc7884bcc6540040df4748930bd8a",
+}
+
+
+def test_recolored_points_are_pinned():
+    for name, g in _recolor_inputs().items():
+        for mode, recolor in (("mono", monochromatize), ("bi", bichromatize)):
+            text = dump_points(recolor(g))
+            got = hashlib.sha256(text.encode()).hexdigest()
+            assert got == RECOLOR_DIGESTS[(name, mode)], (name, mode)

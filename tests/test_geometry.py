@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectmatch.geometry import (
@@ -286,11 +286,25 @@ class TestCandidateFamilyProperties:
                 assert isinstance(k1, IntersectionKind)
 
 
+# Mostly a few fixed values, so x and y coordinates repeat, and otherwise
+# any rational: negative, fractional and with large terms.
+_file_coords = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-3), Fraction(10, 11), Fraction(-7, 2)]),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+)
+
+
 class TestPointFile:
-    def test_round_trip(self):
-        s = PointSet.from_tuples(
-            [(0, 0, "R"), (Fraction(10, 11), 5, "B"), (Fraction(-3, 7), Fraction(1, 2), "B")]
-        )
+    @given(st.lists(
+        st.tuples(_file_coords, _file_coords, st.sampled_from("RB")),
+        max_size=12, unique_by=lambda p: p[:2],
+    ))
+    @example([])
+    @example([(0, 0, "R"), (Fraction(10, 11), 5, "B"),
+              (Fraction(-3, 7), Fraction(1, 2), "B")])
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, triples):
+        s = PointSet.from_tuples(triples)
         text = dump_points(s)
         again = parse_points(text)
         assert again == s

@@ -151,14 +151,14 @@ class TestHalfApprox:
         s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))
         f = RectFamily(s, tuple(candidate_monochromatic(s)))
         f1, _ = split_families_mono(f)
-        assert half_approx_family(f1).certificate_size == 2
+        assert len(half_approx_family(f1).members) == 2
 
     def test_shared_point_forces_choice(self):
         s = ps((0, 0, "B"), (2, 2, "B"), (4, 4, "B"))
         f = RectFamily(s, tuple(candidate_monochromatic(s)))
         f1, _ = split_families_mono(f)
         assert len(f1) == 2
-        assert half_approx_family(f1).certificate_size == 1
+        assert len(half_approx_family(f1).members) == 1
 
     def test_half_bound_against_oracle(self):
         rng = random.Random(29)
@@ -169,8 +169,8 @@ class TestHalfApprox:
             for fam in split_families_mono(f):
                 if not 0 < len(fam) <= 20:
                     continue
-                opt = brute_force_mis(fam).certificate_size
-                got = half_approx_family(fam).certificate_size
+                opt = len(brute_force_mis(fam).members)
+                got = len(half_approx_family(fam).members)
                 assert got >= math.ceil(opt / 2)
                 checked += 1
         assert checked > 20
@@ -243,8 +243,8 @@ class TestApproxMbrm:
             for fam in split_families_bi(f):
                 if len(fam) > 24:
                     continue
-                exact = exact_independent_rects(fam).certificate_size
-                oracle = brute_force_mis(fam, max_rects=40).certificate_size
+                exact = len(exact_independent_rects(fam).members)
+                oracle = len(brute_force_mis(fam, max_rects=40).members)
                 assert exact == oracle
 
 
