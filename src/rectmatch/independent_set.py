@@ -254,24 +254,47 @@ def piercing_order(f: RectFamily) -> PiercingDag:
 
 
 def _kuhn_matching(n: int, adj: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Maximum bipartite matching (left u -> right v) by augmenting paths."""
+    """Maximum bipartite matching (left u -> right v) by augmenting paths.
+
+    Each augmenting search is a depth-first walk from one left vertex over
+    the right vertices not yet seen in that search.  Its stack is explicit,
+    so a path may be longer than Python's recursion limit."""
     match_right: dict[int, int] = {}
     match_left: dict[int, int] = {}
-
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for v in adj[u]:
-            if v in seen:
+    for root in range(n):
+        if not adj[root]:
+            continue
+        v = adj[root][0]
+        if v not in match_right:  # most searches end at their first step
+            match_right[v] = root
+            match_left[root] = v
+            continue
+        seen: set[int] = set()
+        # The walk is at left vertex u with its edges `it` left to try; each
+        # stack entry is an ancestor, its edges left and the right vertex
+        # through which the walk left it.
+        u, it = root, iter(adj[root])
+        stack: list[tuple] = []
+        while True:
+            for v in it:
+                if v not in seen:
+                    break
+            else:
+                if not stack:
+                    break
+                u, it, _ = stack.pop()
                 continue
             seen.add(v)
-            if v not in match_right or try_augment(match_right[v], seen):
+            w = match_right.get(v)
+            if w is None:
                 match_right[v] = u
                 match_left[u] = v
-                return True
-        return False
-
-    for u in range(n):
-        if adj[u]:
-            try_augment(u, set())
+                for x, _, y in stack:
+                    match_right[y] = x
+                    match_left[x] = y
+                break
+            stack.append((u, it, v))
+            u, it = w, iter(adj[w])
     return match_left
 
 

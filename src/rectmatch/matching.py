@@ -15,7 +15,9 @@ The exact oracles `brute_force_max_matching`, `decide_perfect` and
 (max, decide, count).  Its stack is explicit, so the search has no depth
 limit: inputs of thousands of points are bounded only by the size guard.
 The search runs on integer rank boxes and decides conflicts with the rule
-that classifies intersections everywhere else (`geometry._meet`).
+that classifies intersections everywhere else (`geometry._meet`).  The
+maximum search also prunes with the free points that still have a
+feasible partner; the search stays exponential in the worst case.
 """
 from __future__ import annotations
 
@@ -280,13 +282,19 @@ def _search(
     `objective` is "max", "decide" or "count".  Returns the number of leaves
     reached and, for "max", the pairs of the best one.  The lowest free
     point is paired with each partner in ascending order, then left
-    unmatched.  A counting bound prunes every branch that cannot beat the
-    incumbent size: "max" starts it at -1 and raises it at each leaf, so
-    the first optimum found, the lexicographically least pair set, is the
-    one kept.  "decide" and "count" fix it at n/2 - 1, so only perfect
-    matchings reach a leaf; "decide" stops at the first.  The stack is
-    explicit, so the depth of the search is not limited by Python's
-    recursion limit.
+    unmatched.  A counting bound, matched pairs plus half the free points,
+    prunes every branch that cannot beat the incumbent size: "max" starts
+    it at -1 and raises it at each leaf.  "decide" and "count" fix it at
+    n/2 - 1, so only perfect matchings reach a leaf; "decide" stops at the
+    first.
+
+    "max" also bounds each child by the free points that still have a
+    feasible partner (`beats_best`): an unused one whose box conflicts with
+    no chosen box.  Both bounds are upper bounds on every completion, so no
+    ancestor of the first optimal leaf is pruned, and the first optimum
+    found, the lexicographically least pair set, is the one kept.  The
+    stack is explicit, so the depth of the search is not limited by
+    Python's recursion limit.
     """
     limit = max_points if max_points is not None else oracle_guard()
     n = len(s)
@@ -326,6 +334,38 @@ def _search(
     best = -1 if maximize else n // 2 - 1
     leaves = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
+    partners_of = space.partners
+    is_red = [p.color is Color.RED for p in s]
+    mono = mode is MatchMode.MONO
+
+    def beats_best(lo: int, matched: int, free: int) -> bool:
+        """Can a completion over the `free` unused points from `lo` up beat
+        `best`?  It can match only points with a feasible partner: an unused
+        one whose box conflicts with no chosen box.  A mono pair takes two
+        points of one color, a bi pair one of each.  The scan stops once
+        the count so far beats `best`, or once even counting every point
+        left as feasible could not."""
+        if matched > best:
+            return True
+        reds = blues = 0
+        for p in range(lo, n):
+            if used[p]:
+                continue
+            if matched + (reds + blues + free) // 2 <= best:
+                return False
+            free -= 1
+            for q, box in partners_of[p]:
+                if not used[q] and not conflicts(box, chosen):
+                    if is_red[p]:
+                        reds += 1
+                    else:
+                        blues += 1
+                    if matched + (reds // 2 + blues // 2 if mono
+                                  else min(reds, blues)) > best:
+                        return True
+                    break
+        return False
+
     # A frame is [point, its partner iterator (None once the point has been
     # left unmatched), matched, free, the partner it is paired with or -1].
     # `free` counts the points neither processed nor paired yet.
@@ -338,7 +378,7 @@ def _search(
             i += 1
         if i < n:
             used[i] = True
-            stack.append([i, iter(space.partners[i]), matched, free, -1])
+            stack.append([i, iter(partners_of[i]), matched, free, -1])
         else:
             leaves += 1
             if maximize:  # the bound let only a better matching get here
@@ -357,18 +397,24 @@ def _search(
             if partners is not None:
                 if matched + free // 2 > best:
                     for j, box in partners:
-                        if not used[j] and not conflicts(box, chosen):
+                        if used[j] or conflicts(box, chosen):
+                            continue
+                        used[j] = True
+                        chosen.append(box)
+                        if not maximize or beats_best(i + 1, matched + 1, free - 2):
                             break
+                        used[j] = False
+                        chosen.pop()
                     else:
                         j = -1
                     if j >= 0:
-                        used[j] = True
-                        chosen.append(box)
                         frame[4] = j
                         lowest, matched, free = i + 1, matched + 1, free - 2
                         break
                 frame[1] = None
-                if matched + (free - 1) // 2 > best:
+                if matched + (free - 1) // 2 > best and (
+                    not maximize or beats_best(i + 1, matched, free - 1)
+                ):
                     lowest, free = i + 1, free - 1
                     break
             used[i] = False

@@ -231,6 +231,19 @@ class TestMaxAntichain:
         d = PiercingDag(4, frozenset())
         assert len(max_antichain(d).members) == 4
 
+    def test_augmenting_path_deeper_than_the_recursion_limit(self):
+        # Height 2: k -> n+k and k -> n+k+1 for k < n, then 2n+1 -> n.  The
+        # first n left vertices take n+k each; the last one's only augmenting
+        # path shifts all of them: n+1 steps, beyond the default recursion
+        # limit of 1000.
+        from rectmatch.independent_set import PiercingDag
+
+        n = 1100
+        arcs = {(k, n + k) for k in range(n)}
+        arcs |= {(k, n + k + 1) for k in range(n)} | {(2 * n + 1, n)}
+        d = PiercingDag(2 * n + 2, frozenset(arcs))
+        assert len(max_antichain(d).members) == n + 1
+
     def test_matches_oracle_on_random_piercing_families(self):
         rng = random.Random(23)
         done = 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectmatch.errors import GuardError
+from rectmatch.gadgets import random_instance as gadget_random_instance
 from rectmatch.geometry import (
     Color,
     IntersectionKind,
@@ -325,6 +328,59 @@ class TestOracle:
         assert count_perfect_matchings(s, MatchMode.MONO, max_points=n) == 1
         assert decide_perfect(s, MatchMode.MONO, max_points=n)
 
+    # sha256 of the maximum's pairs (first 16 hex digits) on
+    # `gadgets.random_instance(n, n, 0.5, seed)`, recorded before the
+    # feasible-partner bound: (mode, n, seed, forced pairs, size, digest).
+    PINNED = [
+        ("mono", 18, 1, (), 7, "14125d88ca159658"),
+        ("bi", 18, 1, (), 6, "2ddf1919f7d5409b"),
+        ("mono", 18, 2, (), 8, "06a4110bf2601265"),
+        ("bi", 18, 2, (), 7, "2da766b756166c84"),
+        ("mono", 20, 1, (), 8, "86030c736d28c786"),
+        ("bi", 20, 1, (), 6, "7cdd5581ece60e1e"),
+        ("mono", 20, 2, (), 9, "8b8f45c3f923fed0"),
+        ("bi", 20, 2, (), 8, "fc9a5e6a17793996"),
+        ("mono", 22, 1, (), 10, "77ec28640b215955"),
+        ("bi", 22, 1, (), 7, "d6a751c0a76fdd60"),
+        ("mono", 22, 2, (), 10, "c337c69210649450"),
+        ("bi", 22, 2, (), 10, "19c62bde4f28f2ff"),
+        ("mono", 24, 1, (), 11, "fe1e8653b9236fa1"),
+        ("bi", 24, 1, (), 6, "5acc5f5b8835af1a"),
+        ("mono", 24, 2, (), 10, "c30a840efa2aa343"),
+        ("bi", 24, 2, (), 11, "6914687e6a255a05"),
+        ("mono", 26, 1, (), 11, "5816ba6973306c04"),
+        ("bi", 26, 1, (), 6, "4296a75c20c2922d"),
+        ("mono", 26, 2, (), 12, "e4a111cd29d3965f"),
+        ("bi", 26, 2, (), 10, "cf19d627ae838e69"),
+        ("mono", 28, 1, (), 12, "8049f3ec0639dc7d"),
+        ("bi", 28, 1, (), 8, "6f58a4213297cb76"),
+        ("mono", 28, 2, (), 12, "27e81252e6291719"),
+        ("bi", 28, 2, (), 14, "3fee19a859439ef8"),
+        ("mono", 30, 1, (), 13, "f604c168e6d2c4b1"),
+        ("bi", 30, 1, (), 11, "fb3c6379ccf775f9"),
+        ("mono", 30, 2, (), 15, "79f0fcd3fa69f591"),
+        ("bi", 30, 2, (), 12, "712cc6cbd874e5cd"),
+        ("mono", 20, 7, ((5, 19),), 9, "a43b60bf5a1b0c13"),
+        ("bi", 36, 1, (), 11, "fdf9ac8ec853f8fc"),
+        ("bi", 36, 3, (), 15, "fdeb94d59012c85a"),
+        ("mono", 36, 1, (), 16, "6d157ee0b666dbeb"),
+        ("mono", 40, 1, (), 19, "f52cb9cb89d8af18"),
+    ]
+
+    @pytest.mark.parametrize(
+        "mode, n, seed, forced, size, digest", PINNED,
+        ids=[f"{c[0]}-n{c[1]}-seed{c[2]}{'-forced' if c[3] else ''}" for c in PINNED])
+    def test_pinned_optimum(self, mode, n, seed, forced, size, digest):
+        """The same lexicographically least maximum as the plain counting
+        bound found."""
+        s = gadget_random_instance(n, n, 0.5, seed=seed)
+        m = brute_force_max_matching(
+            s, MatchMode.MONO if mode == "mono" else MatchMode.BI,
+            max_points=n, forced_pairs=forced)
+        text = json.dumps([list(p) for p in m.pairs])
+        assert len(m) == size
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_with_oracle_ratio(self):
         s = ps((0, 0, "R"), (1, 1, "R"))
         rep = with_oracle(s, approx_mmrm(s))
@@ -412,14 +468,26 @@ class TestReportJson:
 
 
 @st.composite
-def solver_inputs(draw):
-    """Small two-colored sets with repeated coordinates, or perturbed into
-    rational general position."""
-    coords = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                          min_size=2, max_size=14))
+def solver_inputs(draw, side=6, min_size=2, max_size=14):
+    """Small two-colored sets on [0..side]^2 with repeated coordinates, or
+    perturbed into rational general position."""
+    coords = draw(st.sets(st.tuples(st.integers(0, side), st.integers(0, side)),
+                          min_size=min_size, max_size=max_size))
     s = PointSet.from_tuples(
         (x, y, draw(st.sampled_from("RB"))) for x, y in sorted(coords))
-    return perturb(s, 6) if draw(st.booleans()) else s
+    return perturb(s, side) if draw(st.booleans()) else s
+
+
+@given(solver_inputs(side=8, min_size=12, max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_quarter_bound_against_the_oracle(s):
+    """Both approximations give valid matchings of at least a quarter of
+    the exact optimum, on up to 24 points."""
+    for mode, solver in ((MatchMode.MONO, approx_mmrm), (MatchMode.BI, approx_mbrm)):
+        m = solver(s).matching
+        assert verify_matching(s, m).ok
+        opt = brute_force_max_matching(s, mode, max_points=len(s))
+        assert len(m) >= math.ceil(len(opt) / 4)
 
 
 def recoordinatised(s):
