@@ -28,7 +28,6 @@ from rectmatch.independent_set import (
     IntersectionGraph,
     PiercingDag,
     RectFamily,
-    brute_force_mis,
     build_graph,
     corner_elimination,
     forest_two_color,
@@ -69,9 +68,8 @@ __all__ = [
     "classify_intersection", "is_general_position", "load_points",
     "perturb", "rect_from_pair", "save_points",
     "IndependentSet", "IntersectionGraph", "PiercingDag", "RectFamily",
-    "brute_force_mis", "build_graph", "corner_elimination",
-    "forest_two_color", "max_antichain", "piercing_order",
-    "verify_complete",
+    "build_graph", "corner_elimination", "forest_two_color",
+    "max_antichain", "piercing_order", "verify_complete",
     "MatchMode", "Matching", "SolveReport", "approx_mbrm", "approx_mmrm",
     "brute_force_max_matching", "decide_perfect", "half_approx_family",
     "split_families_bi", "split_families_mono", "verify_matching",

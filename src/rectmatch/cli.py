@@ -62,7 +62,9 @@ def cmd_gen(args) -> int:
     elif args.clause is not None:
         signs = args.clause.split(",")
         if len(signs) != 3 or any(t not in ("+", "-") for t in signs):
-            raise SystemExit(2)
+            print("gen: --clause takes three comma-separated signs, "
+                  "each + or -, e.g. +,+,-", file=sys.stderr)
+            return 2
         names = ["u", "v", "w"]
         f = gadgets.Formula(
             tuple(names),

@@ -249,29 +249,22 @@ class GadgetInstance:
         return PointSet(self.points.points[: self.blue_count])
 
 
-def _on_any_segment(x: int, y: int, segs) -> bool:
-    for (x1, y1), (x2, y2) in segs:
-        if x1 == x2:
-            if x == x1 and min(y1, y2) <= y <= max(y1, y2):
-                return True
-        else:
-            if y == y1 and min(x1, x2) <= x <= max(x1, x2):
-                return True
-    return False
-
-
 def _lattice_gaps(pts: Sequence[tuple[int, int]], segments, k: int):
     """The points of the step-k lattice in the bounding box of `pts`, x-major,
     that are off the step-2k lattice and on no designated segment (index
-    pairs into `pts`)."""
-    segs = [(pts[i], pts[j]) for i, j in segments]
+    pairs into `pts`, axis-aligned as `build_gadget` checks)."""
+    on_segment = set()
+    for i, j in segments:
+        (x1, y1), (x2, y2) = sorted((pts[i], pts[j]))
+        on_segment.update(
+            (x, y) for x in range(x1, x2 + 1) for y in range(y1, y2 + 1))
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     return [
         (x, y)
         for x in range(min(xs), max(xs) + 1, k)
         for y in range(min(ys), max(ys) + 1, k)
-        if (x % (2 * k) or y % (2 * k)) and not _on_any_segment(x, y, segs)
+        if (x % (2 * k) or y % (2 * k)) and (x, y) not in on_segment
     ]
 
 
@@ -394,11 +387,15 @@ class Formula:
 
 
 def formula_from_dict(d: dict) -> Formula:
-    clauses = []
-    for c in d["clauses"]:
-        lits = tuple(Literal(l["var"], bool(l["neg"])) for l in c["literals"])
-        clauses.append(Clause(lits, c.get("side", "above")))
-    return Formula(tuple(d["variables"]), tuple(clauses))
+    try:
+        clauses = []
+        for c in d["clauses"]:
+            lits = tuple(Literal(l["var"], bool(l["neg"])) for l in c["literals"])
+            clauses.append(Clause(lits, c.get("side", "above")))
+        variables = tuple(d["variables"])
+    except KeyError as e:
+        raise ValueError(f"formula is missing key {e.args[0]!r}") from None
+    return Formula(variables, tuple(clauses))
 
 
 def formula_to_dict(f: Formula) -> dict:

@@ -448,7 +448,14 @@ def parse_points(text: str) -> PointSet:
         x, y, c = parts
         if c not in ("R", "B"):
             raise ValueError(f"line {lineno}: color must be R or B, got {c!r}")
-        pts.append(point(Fraction(x), Fraction(y), c))
+        try:
+            x, y = Fraction(x), Fraction(y)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"line {lineno}: coordinates must be integers or num/den "
+                f"with den != 0, got {raw!r}"
+            ) from None
+        pts.append(point(x, y, c))
     return PointSet(tuple(pts))
 
 

@@ -6,8 +6,8 @@ intersection kind: piercing and corner conflicts form the subgraph that can
 be solved exactly (corner pairs are eliminated one rectangle at a time, the
 piercing leftovers form a strict partial order whose maximum antichain is
 computed by minimum chain cover), while point contacts are handled later by
-a two-coloring of what remains.  A branch-and-bound oracle provides ground
-truth at desk scale.
+a two-coloring of what remains.  The exact independent-set oracle that
+checks these stages is test-side, in `tests/naive.py`.
 
 Each family's intersection structure is built once, by an x-sweep over the
 members' integer-rank boxes that reports only the intersecting pairs.  It is
@@ -21,14 +21,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from rectmatch.errors import ContractError, GuardError
+from rectmatch.errors import ContractError
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
-    classify_intersection,
     contains_point,
     intersection_kinds,
     pierces,
@@ -100,7 +99,8 @@ class IntersectionGraph:
 
 @dataclass(frozen=True)
 class PiercingDag:
-    """Arcs u -> v mean rectangle v pierces rectangle u; transitively closed."""
+    """Arcs u -> v mean rectangle v pierces rectangle u; transitive and
+    acyclic by construction (see `piercing_order`)."""
 
     n: int
     arcs: frozenset[tuple[int, int]]
@@ -158,10 +158,7 @@ def verify_complete(f: RectFamily) -> bool:
     return complete_witness(f) is None
 
 
-def corner_elimination(
-    f: RectFamily,
-    on_step: Callable[[RectFamily], None] | None = None,
-) -> RectFamily:
+def corner_elimination(f: RectFamily) -> RectFamily:
     """Discard one rectangle of each corner-intersecting pair until none
     remain, preserving the maximum independent set of the piercing+corner
     subgraph.  Requires a complete family.
@@ -171,7 +168,6 @@ def corner_elimination(
     lexicographically larger is the one dropped.  A drop only kills pairs,
     so one pass over the pairs in that order, skipping those already dead,
     drops what rescanning for the least live pair after each drop would.
-    `on_step` sees the family after each removal (test hook).
     """
     kinds = f._kinds
     witness = complete_witness(f)
@@ -190,67 +186,33 @@ def corner_elimination(
     for _, _, u, v in corner_pairs:
         if alive[u] and alive[v]:
             alive[u if keys[u] > keys[v] else v] = False
-            if on_step is not None:
-                on_step(RectFamily(f.base, tuple(
-                    r for r, live in zip(f.rects, alive) if live)))
     return f.restrict([i for i, live in enumerate(alive) if live])
 
 
 def piercing_order(f: RectFamily) -> PiercingDag:
-    """Orient the piercing relation of a corner-free family into a strict
-    partial order and verify it is one.
-
-    An arc u -> v records that rectangle v pierces rectangle u (the pair
-    necessarily intersects).  Mutual piercing would need two rectangles with
-    identical projections, which distinct defining points rule out; if it is
-    ever observed, or if transitivity or acyclicity fails, the comparability
-    structure this solver relies on is broken and a ContractError reports
-    the witness.
+    """Orient the piercing pairs of a corner-free family: an arc u -> v
+    records that rectangle v pierces rectangle u.  `pierces(u, v)` is
+    coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin, ymax), so
+    the order is transitive and acyclic by construction; only equal boxes
+    pierce both ways, and distinct empty rectangles never have them.  A
+    corner pair or equal boxes raise a ContractError with the pair.
     """
-    kinds = f._kinds
-    for (u, v), kind in kinds.items():
+    boxes = rank_boxes(f.base, f.rects)
+    arcs = []
+    for (u, v), kind in f._kinds.items():
         if kind is IntersectionKind.CORNER:
             raise ContractError(
                 f"piercing_order requires a corner-free family; pair "
                 f"{f.rects[u].key} / {f.rects[v].key} has a corner intersection"
             )
-    m = len(f.rects)
-    boxes = rank_boxes(f.base, f.rects)
-    out = [0] * m  # bitmask of successors
-    arcs = set()
-    for (u, v), kind in kinds.items():
         if kind is not IntersectionKind.PIERCING:
             continue
-        fwd = pierces(boxes[u], boxes[v])  # v pierces u
-        bwd = pierces(boxes[v], boxes[u])  # u pierces v
-        if fwd and bwd:
+        if boxes[u] == boxes[v]:
             raise ContractError(
                 f"mutual piercing between {f.rects[u].key} and {f.rects[v].key}"
             )
-        if fwd:
-            arcs.add((u, v))
-            out[u] |= 1 << v
-        else:
-            arcs.add((v, u))
-            out[v] |= 1 << u
-    for u in range(m):
-        rest = out[u]
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if (out[v] >> u) & 1:
-                raise ContractError(
-                    f"piercing order has a cycle through "
-                    f"{f.rects[u].key} and {f.rects[v].key}"
-                )
-            missing = out[v] & ~out[u] & ~(1 << u)
-            if missing:
-                w = (missing & -missing).bit_length() - 1
-                raise ContractError(
-                    f"piercing order not transitive on rectangles "
-                    f"({f.rects[u].key}, {f.rects[v].key}, {f.rects[w].key})"
-                )
-    return PiercingDag(m, frozenset(arcs))
+        arcs.append((u, v) if pierces(boxes[u], boxes[v]) else (v, u))
+    return PiercingDag(len(f.rects), frozenset(arcs))
 
 
 def _kuhn_matching(n: int, adj: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -348,82 +310,6 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
         if u in members and v in members:
             raise ContractError(f"antichain members {u}, {v} are comparable")
     return IndependentSet(members)
-
-
-def _greedy_independent(n: int, adj_mask: list[int]) -> int:
-    taken = 0
-    forbidden = 0
-    for v in sorted(range(n), key=lambda x: bin(adj_mask[x]).count("1")):
-        if not (forbidden >> v) & 1:
-            taken |= 1 << v
-            forbidden |= adj_mask[v] | (1 << v)
-    return taken
-
-
-def mis_of_graph(n: int, conflict_pairs: Iterable[tuple[int, int]]) -> IndependentSet:
-    """Exact maximum independent set of an arbitrary conflict graph by
-    branch and bound (greedy seed, popcount bound, max-degree pivot)."""
-    adj = [0] * n
-    for u, v in conflict_pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    seed = _greedy_independent(n, adj)
-    best_mask = seed
-    best_size = bin(seed).count("1")
-
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
-    def expand(cand: int, cur_mask: int, cur_size: int) -> None:
-        nonlocal best_mask, best_size
-        if cur_size + popcount(cand) <= best_size:
-            return
-        if cand == 0:
-            best_mask, best_size = cur_mask, cur_size
-            return
-        # Pivot on the candidate with most candidate-neighbours.
-        pivot, pivot_deg = -1, -1
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            deg = popcount(adj[v] & cand)
-            if deg > pivot_deg:
-                pivot, pivot_deg = v, deg
-        bit = 1 << pivot
-        expand(cand & ~bit & ~adj[pivot], cur_mask | bit, cur_size + 1)
-        expand(cand & ~bit, cur_mask, cur_size)
-
-    expand((1 << n) - 1, 0, 0)
-    members = frozenset(v for v in range(n) if (best_mask >> v) & 1)
-    return IndependentSet(members)
-
-
-def brute_force_mis(
-    f: RectFamily, *, max_rects: int = 32, force: bool = False
-) -> IndependentSet:
-    """Exact maximum independent set of the full intersection graph, where
-    every non-disjoint pair conflicts.  Guarded: refuses families larger
-    than `max_rects` unless `force` is set."""
-    if len(f.rects) > max_rects and not force:
-        raise GuardError(
-            f"{len(f.rects)} rectangles exceeds the oracle guard of "
-            f"{max_rects}; pass force=True to run anyway"
-        )
-    m = len(f.rects)
-    conflicts = [
-        (u, v) for u in range(m) for v in range(u + 1, m)
-        if classify_intersection(f.base, f.rects[u], f.rects[v])
-        is not IntersectionKind.DISJOINT
-    ]
-    result = mis_of_graph(m, conflicts)
-    conflict_set = set(conflicts)
-    for u in result.members:
-        for v in result.members:
-            if u < v and (u, v) in conflict_set:
-                raise ContractError(f"oracle output not independent: {u}, {v}")
-    return result
 
 
 def forest_two_color(g: IntersectionGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

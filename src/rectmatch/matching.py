@@ -563,5 +563,8 @@ def report_to_json(report: SolveReport) -> str:
 
 
 def matching_from_dict(d: dict) -> Matching:
-    mode = MatchMode(d["mode"])
-    return Matching(tuple((int(i), int(j)) for i, j in d["pairs"]), mode)
+    try:
+        mode, pairs = d["mode"], d["pairs"]
+    except KeyError as e:
+        raise ValueError(f"matching is missing key {e.args[0]!r}") from None
+    return Matching(tuple((int(i), int(j)) for i, j in pairs), MatchMode(mode))

@@ -3,14 +3,23 @@ the package against, and small helpers only the tests need.  The references
 work on the exact `Fraction` rectangles, not on rank boxes."""
 from __future__ import annotations
 
+from typing import Iterable
+
+from rectmatch.errors import ContractError, GuardError
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
+    classify_intersection,
     contains_point,
     rect_from_pair,
     rects_conflict,
 )
-from rectmatch.independent_set import IntersectionGraph
+from rectmatch.independent_set import (
+    IndependentSet,
+    IntersectionGraph,
+    PiercingDag,
+    RectFamily,
+)
 
 
 def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
@@ -67,3 +76,99 @@ def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:
 def dump_edges(g: IntersectionGraph) -> str:
     """Debug dump: one `i j KIND` line per edge."""
     return "".join(f"{u} {v} {k.name}\n" for u, v, k in g.edges)
+
+
+def order_violation(d: PiercingDag) -> tuple | None:
+    """A witness that the arcs of `d` are not a transitively closed strict
+    partial order, or None: `("cycle", u, v)` for arcs u -> v and v -> u,
+    or `("not transitive", u, v, w)` for arcs u -> v -> w without u -> w."""
+    out = [0] * d.n  # bitmask of successors
+    for u, v in d.arcs:
+        out[u] |= 1 << v
+    for u in range(d.n):
+        rest = out[u]
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if (out[v] >> u) & 1:
+                return ("cycle", u, v)
+            missing = out[v] & ~out[u] & ~(1 << u)
+            if missing:
+                return ("not transitive", u, v, (missing & -missing).bit_length() - 1)
+    return None
+
+
+def _greedy_independent(n: int, adj_mask: list[int]) -> int:
+    taken = 0
+    forbidden = 0
+    for v in sorted(range(n), key=lambda x: bin(adj_mask[x]).count("1")):
+        if not (forbidden >> v) & 1:
+            taken |= 1 << v
+            forbidden |= adj_mask[v] | (1 << v)
+    return taken
+
+
+def mis_of_graph(n: int, conflict_pairs: Iterable[tuple[int, int]]) -> IndependentSet:
+    """Exact maximum independent set of an arbitrary conflict graph by
+    branch and bound (greedy seed, popcount bound, max-degree pivot)."""
+    adj = [0] * n
+    for u, v in conflict_pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    seed = _greedy_independent(n, adj)
+    best_mask = seed
+    best_size = bin(seed).count("1")
+
+    def popcount(x: int) -> int:
+        return bin(x).count("1")
+
+    def expand(cand: int, cur_mask: int, cur_size: int) -> None:
+        nonlocal best_mask, best_size
+        if cur_size + popcount(cand) <= best_size:
+            return
+        if cand == 0:
+            best_mask, best_size = cur_mask, cur_size
+            return
+        # Pivot on the candidate with most candidate-neighbours.
+        pivot, pivot_deg = -1, -1
+        rest = cand
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            deg = popcount(adj[v] & cand)
+            if deg > pivot_deg:
+                pivot, pivot_deg = v, deg
+        bit = 1 << pivot
+        expand(cand & ~bit & ~adj[pivot], cur_mask | bit, cur_size + 1)
+        expand(cand & ~bit, cur_mask, cur_size)
+
+    expand((1 << n) - 1, 0, 0)
+    members = frozenset(v for v in range(n) if (best_mask >> v) & 1)
+    return IndependentSet(members)
+
+
+def brute_force_mis(
+    f: RectFamily, *, max_rects: int = 32, force: bool = False
+) -> IndependentSet:
+    """Exact maximum independent set of the full intersection graph, where
+    every non-disjoint pair conflicts.  Guarded: refuses families larger
+    than `max_rects` unless `force` is set."""
+    if len(f.rects) > max_rects and not force:
+        raise GuardError(
+            f"{len(f.rects)} rectangles exceeds the oracle guard of "
+            f"{max_rects}; pass force=True to run anyway"
+        )
+    m = len(f.rects)
+    conflicts = [
+        (u, v) for u in range(m) for v in range(u + 1, m)
+        if classify_intersection(f.base, f.rects[u], f.rects[v])
+        is not IntersectionKind.DISJOINT
+    ]
+    result = mis_of_graph(m, conflicts)
+    conflict_set = set(conflicts)
+    for u in result.members:
+        for v in result.members:
+            if u < v and (u, v) in conflict_set:
+                raise ContractError(f"oracle output not independent: {u}, {v}")
+    return result

@@ -38,6 +38,11 @@ class TestGen:
     def test_missing_choice(self, capsys):
         assert run(capsys, "gen")[0] == 2
 
+    def test_bad_clause_signs(self, capsys):
+        code, out, err = run(capsys, "gen", "--clause", "+,+")
+        assert code == 2
+        assert out == "" and "--clause" in err and "+,+,-" in err
+
 
 class TestSolveVerifyOracle:
     @pytest.fixture
@@ -78,6 +83,22 @@ class TestSolveVerifyOracle:
         code, out, _ = run(capsys, "verify", str(pts), "--matching", str(bad))
         assert code == 1
         assert "FAIL" in out
+
+    def test_solve_bad_coordinate(self, tmp_path, capsys):
+        pts = tmp_path / "bad.pts"
+        pts.write_text("0 0 R\n1/0 2 B\n")
+        code, out, err = run(capsys, "solve", str(pts), "--mode", "bi")
+        assert code == 1
+        assert out == "" and err.startswith("error: line 2:") and "1/0" in err
+
+    def test_verify_matching_without_mode(self, tmp_path, capsys):
+        pts = tmp_path / "p.pts"
+        pts.write_text("0 0 B\n1 1 B\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"pairs": [[0, 1]]}))
+        code, _, err = run(capsys, "verify", str(pts), "--matching", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and "'mode'" in err
 
     def test_oracle_perfect_blocking(self, tmp_path, capsys):
         out = tmp_path / "blocking.pts"
@@ -134,6 +155,17 @@ class TestCompileSat:
         meta = json.loads(side.read_text())
         assert meta["provenance"]["blueCount"] == 48
         assert len(s) > 1000
+
+
+    def test_formula_without_clauses(self, tmp_path, capsys):
+        formula = tmp_path / "f.json"
+        formula.write_text(json.dumps({"variables": ["u"]}))
+        pts, side = tmp_path / "inst.pts", tmp_path / "inst.json"
+        code, _, err = run(capsys, "compile-sat", "--formula", str(formula),
+                           "--out", str(pts), "--sidecar", str(side))
+        assert code == 1
+        assert err.startswith("error:") and "'clauses'" in err
+        assert not pts.exists()
 
 
 class TestBench:

@@ -11,23 +11,29 @@ from rectmatch.geometry import (
     classify_intersection,
     empty_pairs,
     perturb,
+    pierces,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
     IntersectionGraph,
+    PiercingDag,
     RectFamily,
-    brute_force_mis,
     build_graph,
     corner_elimination,
     forest_two_color,
     max_antichain,
-    mis_of_graph,
     pairwise_kinds,
     piercing_order,
     verify_complete,
 )
 
-from naive import dump_edges, gpc_subgraph
+from naive import (
+    brute_force_mis,
+    dump_edges,
+    gpc_subgraph,
+    mis_of_graph,
+    order_violation,
+)
 
 K = IntersectionKind
 
@@ -173,11 +179,31 @@ class TestCornerElimination:
                 continue
             done += 1
             before = _gpc_alpha(f)
-            steps = []
-            out = corner_elimination(f, on_step=steps.append)
-            assert _gpc_alpha(out) == before
+            steps = _replay_drops(f)
             for step_fam in steps:
                 assert _gpc_alpha(step_fam) == before
+            out = corner_elimination(f)
+            assert _gpc_alpha(out) == before
+            assert steps[-1].keys() == out.keys()
+
+
+def _replay_drops(f):
+    """The family before and after each drop of the documented rule: corner
+    pairs in order of their defining keys, the larger key of a pair whose
+    rectangles are both alive dropped."""
+    keys = [r.key for r in f.rects]
+    pairs = sorted(
+        tuple(sorted((keys[u], keys[v])))
+        for (u, v), k in pairwise_kinds(f).items() if k is K.CORNER
+    )
+    alive = set(keys)
+    steps = [f]
+    for low, high in pairs:
+        if low in alive and high in alive:
+            alive.discard(high)
+            steps.append(RectFamily(f.base, tuple(
+                r for r in f.rects if r.key in alive)))
+    return steps
 
 
 def _gpc_alpha(f):
@@ -214,7 +240,7 @@ class TestPiercingOrder:
             kinds = pairwise_kinds(f)
             if any(k is K.CORNER for k in kinds.values()):
                 continue
-            piercing_order(f)
+            assert order_violation(piercing_order(f)) is None
             done += 1
 
 
@@ -414,3 +440,25 @@ class TestSparseKinds:
     def test_missing_pair_means_disjoint(self):
         s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))
         assert pairwise_kinds(family(s, [(0, 1), (2, 3)])) == {}
+
+
+class TestDominanceOrder:
+    """Piercing is coordinate-wise `<=` on (xmin, -xmax, -ymin, ymax), so
+    oriented by `pierces` the piercing pairs of any empty-pair family form a
+    strict partial order: the reason `piercing_order` does not verify one."""
+
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+    @settings(max_examples=300, deadline=None)
+    def test_piercing_pairs_orient_into_a_strict_order(self, pts):
+        f = all_empty_family(PointSet.from_tuples(pts))
+        kinds = pairwise_kinds(f)
+        arcs = set()
+        for (u, v), k in kinds.items():
+            if k is not K.PIERCING:
+                continue
+            a, b = f.rects[u], f.rects[v]
+            assert (a.xmin, a.xmax, a.ymin, a.ymax) != (b.xmin, b.xmax, b.ymin, b.ymax)
+            arcs.add((u, v) if pierces(a, b) else (v, u))
+        assert order_violation(PiercingDag(len(f), frozenset(arcs))) is None
+        if K.CORNER not in kinds.values():
+            assert piercing_order(f).arcs == arcs

@@ -23,7 +23,6 @@ from rectmatch.geometry import (
 )
 from rectmatch.independent_set import (
     RectFamily,
-    brute_force_mis,
     build_graph,
     pairwise_kinds,
     verify_complete,
@@ -46,7 +45,7 @@ from rectmatch.matching import (
     with_oracle,
 )
 
-from naive import matching_sizes_naive
+from naive import brute_force_mis, matching_sizes_naive
 
 K = IntersectionKind
 
