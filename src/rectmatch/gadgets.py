@@ -26,6 +26,7 @@ from rectmatch.geometry import (
     Color,
     ColoredPoint,
     PointSet,
+    _json_field,
     perturb,
     point,
 )
@@ -387,15 +388,23 @@ class Formula:
 
 
 def formula_from_dict(d: dict) -> Formula:
-    try:
-        clauses = []
-        for c in d["clauses"]:
-            lits = tuple(Literal(l["var"], bool(l["neg"])) for l in c["literals"])
-            clauses.append(Clause(lits, c.get("side", "above")))
-        variables = tuple(d["variables"])
-    except KeyError as e:
-        raise ValueError(f"formula is missing key {e.args[0]!r}") from None
-    return Formula(variables, tuple(clauses))
+    """Read a formula from its JSON form; a missing key or a value of the
+    wrong shape raises a one-line ValueError that names the field."""
+    clauses = []
+    for k, c in enumerate(_json_field(d, "clauses", list, "formula")):
+        where = f"formula clauses[{k}]"
+        lits = []
+        for m, lit in enumerate(_json_field(c, "literals", list, where)):
+            at = f"{where}.literals[{m}]"
+            lits.append(Literal(_json_field(lit, "var", str, at),
+                                _json_field(lit, "neg", bool, at)))
+        side = _json_field(c, "side", str, where) if "side" in c else "above"
+        clauses.append(Clause(tuple(lits), side))
+    variables = _json_field(d, "variables", list, "formula")
+    for v in variables:
+        if not isinstance(v, str):
+            raise ValueError(f"formula key 'variables' must hold names, got {v!r}")
+    return Formula(tuple(variables), tuple(clauses))
 
 
 def formula_to_dict(f: Formula) -> dict:

@@ -113,9 +113,22 @@ class PointSet:
 
 
 def _dense_ranks(values: list[Coord]) -> list[int]:
-    """The rank of each value among the distinct values."""
-    rank = {v: k for k, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
+    """The rank of each value among the distinct values.
+
+    Each value is keyed by `(numerator, denominator)`, which `Fraction`
+    keeps in lowest terms with a positive denominator, so equal values get
+    equal keys without `Fraction.__hash__`; only the distinct keys are
+    sorted by value.  When they share one denominator, as integers do, the
+    keys' own order is the value order, and the sort compares no
+    `Fraction`s."""
+    keys = [(v.numerator, v.denominator) for v in values]
+    value = dict(zip(keys, values))
+    if len({den for _, den in value}) == 1:
+        distinct = sorted(value)
+    else:
+        distinct = sorted(value, key=value.__getitem__)
+    rank = {k: r for r, k in enumerate(distinct)}
+    return [rank[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -457,6 +470,21 @@ def parse_points(text: str) -> PointSet:
             ) from None
         pts.append(point(x, y, c))
     return PointSet(tuple(pts))
+
+
+def _json_field(obj, key: str, kind: type, where: str):
+    """`obj[key]` of a parsed JSON document, checked to be a `kind`.  A
+    missing key or a value of another shape raises a one-line ValueError
+    that names the field, with `where` naming `obj`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} is missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} key {key!r} must be a {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def load_points(path) -> PointSet:

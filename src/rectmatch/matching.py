@@ -15,14 +15,18 @@ The exact oracles `brute_force_max_matching`, `decide_perfect` and
 (max, decide, count).  Its stack is explicit, so the search has no depth
 limit: inputs of thousands of points are bounded only by the size guard.
 The search runs on integer rank boxes and decides conflicts with the rule
-that classifies intersections everywhere else (`geometry._meet`).  The
-maximum search also prunes with the free points that still have a
-feasible partner; the search stays exponential in the worst case.
+that classifies intersections everywhere else (`geometry._meet`).  A search
+that can choose more than a few dozen boxes buckets the chosen ones by cell
+of the rank grid, so a conflict test reads only the boxes near the query;
+a smaller one scans them all.  The maximum search also prunes with the free
+points that still have a feasible partner; the search stays exponential in
+the worst case.
 """
 from __future__ import annotations
 
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,6 +39,7 @@ from rectmatch.geometry import (
     PointSet,
     Rect,
     _color_pairs,
+    _json_field,
     _meet,
     _rank_box,
     candidate_bichromatic,
@@ -231,11 +236,21 @@ def with_oracle(s: PointSet, report: SolveReport, *, guard: int | None = None) -
 # ---------------------------------------------------------------------------
 # Exact oracle
 
+# A search that can choose more boxes than this indexes them; a smaller one
+# scans a plain list, which costs less than keeping the index up to date.
+_INDEX_FROM = 32
+# A chosen box spanning more cells than this along either axis is wide.
+_WIDE_CELLS = 4
+# The cell side is the median extent of about this many candidate boxes.
+_SAMPLE = 256
+
+
 class _SearchSpace:
     """The candidate pairs of a mode as rank boxes: `box[(i, j)]` for i < j,
     and each point's partners in ascending order with their boxes.
-    `allowed_pairs`, when given, keeps only those pairs.  Conflicts are
-    decided by `geometry._meet` on the rank grid, the rule that
+    `allowed_pairs`, when given, keeps only those pairs.  `chosen()` makes
+    the container of a search's chosen boxes, which decides conflicts with
+    `geometry._meet` on the rank grid, the rule that
     `classify_intersection` and `intersection_kinds` run."""
 
     def __init__(self, s: PointSet, mode: MatchMode, allowed_pairs=None):
@@ -256,16 +271,99 @@ class _SearchSpace:
         for lst in self.partners:
             lst.sort()
 
-    def conflicts(self, box, chosen) -> bool:
+    def chosen(self, capacity: int):
+        """An empty container for at most `capacity` chosen boxes: a plain
+        list when that is small, else an index over the rank grid whose
+        cell side is the median extent of the candidate boxes."""
+        if capacity <= _INDEX_FROM:
+            return _ChosenList(self.grid)
+        boxes = list(self.box.values())
+        sample = sorted(max(b[1] - b[0], b[3] - b[2])
+                        for b in boxes[::len(boxes) // _SAMPLE + 1])
+        side = max(1, sample[len(sample) // 2]) if sample else 1
+        return _ChosenIndex(self.grid, side)
+
+
+class _ChosenList(list):
+    """The chosen boxes of a small search in push order, scanned in full by
+    `conflicts`."""
+
+    __slots__ = ("grid",)
+
+    def __init__(self, grid):
+        super().__init__()
+        self.grid = grid
+
+    def conflicts(self, box) -> bool:
         """True iff box meets one of the chosen boxes; `_meet` decides the
         boxes whose x and y projections both overlap box's."""
         x1, x2, y1, y2 = box
         grid = self.grid
-        for b in chosen:
+        for b in self:
             if b[0] > x2 or b[1] < x1 or b[2] > y2 or b[3] < y1:
                 continue
             if _meet(box, b, grid) is not IntersectionKind.DISJOINT:
                 return True
+        return False
+
+
+class _ChosenIndex:
+    """The chosen boxes of a large search, bucketed by the square cells of
+    side `side` on the rank grid that they overlap.  A box that spans more
+    than `_WIDE_CELLS` cells along an axis goes to the `wide` list instead.
+    `append` and `pop` work last in, first out, so a popped box is the last
+    one in each of its buckets.  `conflicts` tests the boxes in the cells
+    of the query box and the wide ones, or every chosen box when that is
+    fewer; `_meet` decides each one."""
+
+    __slots__ = ("grid", "side", "cells", "wide", "boxes", "held")
+
+    def __init__(self, grid, side: int):
+        self.grid = grid
+        self.side = side
+        self.cells: defaultdict[tuple[int, int], list] = defaultdict(list)
+        self.wide: list = []
+        self.boxes: list = []  # in push order
+        self.held: list[list[list]] = []  # the buckets of each box
+
+    def append(self, box) -> None:
+        c = self.side
+        cx1, cx2, cy1, cy2 = box[0] // c, box[1] // c, box[2] // c, box[3] // c
+        if cx2 - cx1 >= _WIDE_CELLS or cy2 - cy1 >= _WIDE_CELLS:
+            held = [self.wide]
+        else:
+            cells = self.cells
+            held = [cells[cx, cy] for cx in range(cx1, cx2 + 1)
+                    for cy in range(cy1, cy2 + 1)]
+        for bucket in held:
+            bucket.append(box)
+        self.boxes.append(box)
+        self.held.append(held)
+
+    def pop(self) -> None:
+        self.boxes.pop()
+        for bucket in self.held.pop():
+            bucket.pop()
+
+    def conflicts(self, box) -> bool:
+        """True iff box meets one of the chosen boxes."""
+        x1, x2, y1, y2 = box
+        c = self.side
+        cx1, cx2, cy1, cy2 = x1 // c, x2 // c, y1 // c, y2 // c
+        if (cx2 - cx1 + 1) * (cy2 - cy1 + 1) >= len(self.boxes):
+            buckets = (self.boxes,)
+        else:
+            get = self.cells.get
+            buckets = [get((cx, cy), ()) for cx in range(cx1, cx2 + 1)
+                       for cy in range(cy1, cy2 + 1)]
+            buckets.append(self.wide)
+        grid = self.grid
+        for bucket in buckets:
+            for b in bucket:
+                if b[0] > x2 or b[1] < x1 or b[2] > y2 or b[3] < y1:
+                    continue
+                if _meet(box, b, grid) is not IntersectionKind.DISJOINT:
+                    return True
         return False
 
 
@@ -295,6 +393,12 @@ def _search(
     found, the lexicographically least pair set, is the one kept.  The
     stack is explicit, so the depth of the search is not limited by
     Python's recursion limit.
+
+    The chosen boxes live in the container `_SearchSpace.chosen` picks once
+    per search from n // 2, the most boxes the search can choose: a list
+    scanned in full up to `_INDEX_FROM`, a `_ChosenIndex` beyond.  Both
+    push and pop in step with the stack and give the same conflict answers,
+    so the choice changes only the time taken.
     """
     limit = max_points if max_points is not None else oracle_guard()
     n = len(s)
@@ -309,9 +413,9 @@ def _search(
     ):
         return 0, ()
     space = _SearchSpace(s, mode, allowed_pairs)
-    conflicts = space.conflicts
+    chosen = space.chosen(n // 2)
+    conflicts = chosen.conflicts
     used = [False] * n
-    chosen: list[tuple] = []
     forced: list[tuple[int, int]] = []
     for i, j in forced_pairs:
         key = (min(i, j), max(i, j))
@@ -320,7 +424,7 @@ def _search(
             problem = "is not a candidate pair"
         elif used[key[0]] or used[key[1]]:
             problem = "reuses a point"
-        elif conflicts(box, chosen):
+        elif conflicts(box):
             problem = "conflicts with another forced pair"
         else:
             used[key[0]] = used[key[1]] = True
@@ -355,7 +459,7 @@ def _search(
                 return False
             free -= 1
             for q, box in partners_of[p]:
-                if not used[q] and not conflicts(box, chosen):
+                if not used[q] and not conflicts(box):
                     if is_red[p]:
                         reds += 1
                     else:
@@ -397,7 +501,7 @@ def _search(
             if partners is not None:
                 if matched + free // 2 > best:
                     for j, box in partners:
-                        if used[j] or conflicts(box, chosen):
+                        if used[j] or conflicts(box):
                             continue
                         used[j] = True
                         chosen.append(box)
@@ -563,8 +667,14 @@ def report_to_json(report: SolveReport) -> str:
 
 
 def matching_from_dict(d: dict) -> Matching:
-    try:
-        mode, pairs = d["mode"], d["pairs"]
-    except KeyError as e:
-        raise ValueError(f"matching is missing key {e.args[0]!r}") from None
-    return Matching(tuple((int(i), int(j)) for i, j in pairs), MatchMode(mode))
+    """Read a matching from its JSON form; a missing key or a value of the
+    wrong shape raises a one-line ValueError that names the field."""
+    mode = _json_field(d, "mode", str, "matching")
+    pairs = _json_field(d, "pairs", list, "matching")
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2
+                and all(type(i) is int for i in p)):
+            raise ValueError(
+                f"matching key 'pairs' must hold [i, j] pairs of point "
+                f"indices, got {p!r}")
+    return Matching(tuple(map(tuple, pairs)), MatchMode(mode))

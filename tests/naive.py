@@ -1,6 +1,7 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the exact `Fraction` rectangles, not on rank boxes."""
+work on the exact `Fraction` rectangles, except `conflicts_naive`, which
+checks the oracle's index of chosen rank boxes."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -9,6 +10,7 @@ from rectmatch.errors import ContractError, GuardError
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
+    _meet,
     classify_intersection,
     contains_point,
     rect_from_pair,
@@ -62,6 +64,19 @@ def matching_sizes_naive(s: PointSet, same_color: bool) -> tuple[int, int]:
 
     extend(0, frozenset(), [])
     return best, perfect
+
+
+def dense_ranks_naive(values: list) -> list[int]:
+    """The rank of each value among the distinct values, through a set and
+    a dict of the values themselves."""
+    rank = {v: k for k, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def conflicts_naive(box, chosen, grid) -> bool:
+    """True iff `_meet` finds that box meets one of the chosen rank boxes:
+    the oracle's conflict test as a scan over every chosen box."""
+    return any(_meet(box, b, grid) is not IntersectionKind.DISJOINT for b in chosen)
 
 
 def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:

@@ -100,6 +100,20 @@ class TestSolveVerifyOracle:
         assert code == 1
         assert err.startswith("error:") and "'mode'" in err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"mode": "monochromatic", "pairs": 5}, "'pairs'"),
+        ([[0, 1]], "matching must be a JSON object"),
+    ], ids=["pairs-not-a-list", "document-not-an-object"])
+    def test_verify_malformed_matching(self, tmp_path, capsys, doc, field):
+        pts = tmp_path / "p.pts"
+        pts.write_text("0 0 B\n1 1 B\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(pts), "--matching", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and field in err
+        assert len(err.splitlines()) == 1
+
     def test_oracle_perfect_blocking(self, tmp_path, capsys):
         out = tmp_path / "blocking.pts"
         run(capsys, "gen", "--blocking", "--out", str(out))
@@ -165,6 +179,20 @@ class TestCompileSat:
                            "--out", str(pts), "--sidecar", str(side))
         assert code == 1
         assert err.startswith("error:") and "'clauses'" in err
+        assert not pts.exists()
+
+    def test_formula_with_string_literals(self, tmp_path, capsys):
+        formula = tmp_path / "f.json"
+        formula.write_text(json.dumps({
+            "variables": ["u", "v", "w"],
+            "clauses": [{"literals": ["u", "v", "w"]}],
+        }))
+        pts, side = tmp_path / "inst.pts", tmp_path / "inst.json"
+        code, _, err = run(capsys, "compile-sat", "--formula", str(formula),
+                           "--out", str(pts), "--sidecar", str(side))
+        assert code == 1
+        assert err.startswith("error:") and "clauses[0].literals[0]" in err
+        assert len(err.splitlines()) == 1
         assert not pts.exists()
 
 

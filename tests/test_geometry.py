@@ -11,6 +11,7 @@ from rectmatch.geometry import (
     PointSet,
     Rect,
     RectKind,
+    _dense_ranks,
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
@@ -25,7 +26,7 @@ from rectmatch.geometry import (
     rect_from_pair,
 )
 
-from naive import empty_pairs_naive
+from naive import dense_ranks_naive, empty_pairs_naive
 
 
 def ps(*triples):
@@ -292,6 +293,26 @@ _file_coords = st.one_of(
     st.sampled_from([Fraction(0), Fraction(-3), Fraction(10, 11), Fraction(-7, 2)]),
     st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
 )
+
+
+@st.composite
+def repeated_fractions(draw):
+    """Negative and rational values, some of them repeated, in any order."""
+    values = draw(st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=7), max_size=30))
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=10))
+    return draw(st.permutations(values))
+
+
+class TestDenseRanks:
+    @given(repeated_fractions())
+    @example([Fraction(-1, 2), Fraction(2, -4), Fraction(0), Fraction(-0, 5)])
+    @example([Fraction(3), Fraction(-2), Fraction(3), Fraction(0)])
+    @example([Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3), Fraction(-4, 3)])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_ranks_of_a_value_dict(self, values):
+        assert _dense_ranks(values) == dense_ranks_naive(values)
 
 
 class TestPointFile:

@@ -8,12 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rectmatch.matching as matching_module
 from rectmatch.errors import GuardError
-from rectmatch.gadgets import random_instance as gadget_random_instance
+from rectmatch.gadgets import (
+    compile_planar_1in3,
+    formula_from_dict,
+    one_in_three_satisfiable,
+    random_instance as gadget_random_instance,
+)
 from rectmatch.geometry import (
     Color,
     IntersectionKind,
     PointSet,
+    RankBox,
+    _Grid,
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
@@ -45,7 +53,7 @@ from rectmatch.matching import (
     with_oracle,
 )
 
-from naive import brute_force_mis, matching_sizes_naive
+from naive import brute_force_mis, conflicts_naive, matching_sizes_naive
 
 K = IntersectionKind
 
@@ -386,6 +394,57 @@ class TestOracle:
         assert rep.optimal_size == 1 and rep.ratio == 1
 
 
+@pytest.fixture
+def built_indexes(monkeypatch):
+    """The `_ChosenIndex`es that the oracle builds while the test runs."""
+    built = []
+
+    class Recorded(matching_module._ChosenIndex):
+        __slots__ = ()
+
+        def __init__(self, grid, side):
+            super().__init__(grid, side)
+            built.append(self)
+
+    monkeypatch.setattr(matching_module, "_ChosenIndex", Recorded)
+    return built
+
+
+class TestChosenIndex:
+    """Searches that can choose more than `_INDEX_FROM` boxes run on the
+    index of chosen boxes."""
+
+    def test_compiled_clause(self, built_indexes):
+        f = formula_from_dict({
+            "variables": ["u", "v", "w"],
+            "clauses": [{"literals": [
+                {"var": "u", "neg": False},
+                {"var": "v", "neg": True},
+                {"var": "w", "neg": False},
+            ]}],
+        })
+        s = compile_planar_1in3(f).points
+        assert len(s) // 2 > matching_module._INDEX_FROM
+        assert decide_perfect(s, MatchMode.MONO, max_points=len(s)) \
+            == one_in_three_satisfiable(f)
+        assert len(built_indexes) == 1
+
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    def test_collinear_run_pairs_neighbours(self, built_indexes, axis):
+        n = 300
+        line = [(k, 7) if axis == "row" else (7, k) for k in range(n)]
+        s = PointSet.from_tuples((x, y, "R") for x, y in line)
+        assert n // 2 > matching_module._INDEX_FROM
+        m = brute_force_max_matching(s, MatchMode.MONO, max_points=n)
+        assert m.pairs == tuple((k, k + 1) for k in range(0, n, 2))
+        assert len(built_indexes) == 1
+
+    def test_small_search_scans_a_list(self, built_indexes):
+        s = gadget_random_instance(24, 24, 0.5, seed=1)
+        brute_force_max_matching(s, MatchMode.MONO, max_points=24)
+        assert built_indexes == []
+
+
 class TestVerifyMatching:
     def test_approx_output_passes(self):
         rng = random.Random(59)
@@ -575,3 +634,59 @@ def test_oracle_matches_subset_enumeration(s):
         assert len(brute_force_max_matching(s, mode)) == best
         assert decide_perfect(s, mode) == (2 * best == len(s))
         assert count_perfect_matchings(s, mode) == perfect
+
+
+@st.composite
+def box_operations(draw):
+    """A rank grid of up to 8 x 8 with points on it, a cell side, and a
+    sequence of pushes, pops and queries of rank boxes.  The boxes include
+    zero-width and zero-height segments, boxes with shared coordinates and
+    boxes spanning the whole grid."""
+    g = draw(st.integers(1, 8))
+    coord = st.integers(0, g - 1)
+    points = draw(st.lists(st.tuples(coord, coord), max_size=20))
+    grid = _Grid([x for x, _ in points], [y for _, y in points])
+
+    def box():
+        x1, x2 = sorted((draw(coord), draw(coord)))
+        y1, y2 = sorted((draw(coord), draw(coord)))
+        shape = draw(st.sampled_from(["box", "box", "flat-x", "flat-y", "whole"]))
+        if shape == "flat-x":
+            x2 = x1
+        elif shape == "flat-y":
+            y2 = y1
+        elif shape == "whole":
+            x1, x2, y1, y2 = 0, g - 1, 0, g - 1
+        return RankBox(x1, x2, y1, y2)
+
+    # A query reads the cells only when they are fewer than the chosen
+    # boxes, so most sequences start with a run of pushes.
+    ops = [("push", box()) for _ in range(draw(st.integers(0, 30)))]
+    ops += [(op, box()) for op in draw(st.lists(
+        st.sampled_from(["push", "query", "query", "pop"]), max_size=40))]
+    return grid, draw(st.integers(1, 4)), ops
+
+
+@given(box_operations())
+@settings(max_examples=300, deadline=None)
+def test_chosen_index_answers_as_the_scan(case):
+    """Under any last-in-first-out sequence of pushes and pops, the index
+    and the list give every conflict query the answer of `_meet` over all
+    chosen boxes."""
+    grid, side, ops = case
+    chosen = []
+    index = matching_module._ChosenIndex(grid, side)
+    scan = matching_module._ChosenList(grid)
+    for op, box in ops:
+        if op == "push":
+            chosen.append(box)
+            index.append(box)
+            scan.append(box)
+        elif op == "pop" and chosen:
+            chosen.pop()
+            index.pop()
+            scan.pop()
+        else:
+            want = conflicts_naive(box, chosen, grid)
+            assert index.conflicts(box) == want
+            assert scan.conflicts(box) == want

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import rectmatch.matching as matching
-from rectmatch.gadgets import random_instance
+from rectmatch.gadgets import compile_planar_1in3, formula_from_dict, random_instance
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
@@ -50,3 +50,33 @@ def test_traced_run_keeps_the_pairs_and_fires_every_hook(monkeypatch):
     assert tracer.counts["matching.oracle.mode_pairs"] > 0
     names = {span[0] for span in tracer.spans}
     assert "independent_set.piercing_order" in names
+
+
+def test_traced_decide_on_a_compiled_formula(monkeypatch):
+    """`decide_perfect` on a compiled formula runs the indexed search; traced,
+    it gives the untraced answer and fires the oracle's count hook."""
+    fired = []
+    module, span, hook = spans.STAGES["decide_perfect"]
+
+    def counted(tracer, parent, args, out):
+        fired.append(out)
+        hook(tracer, parent, args, out)
+    monkeypatch.setitem(spans.STAGES, "decide_perfect", (module, span, counted))
+
+    f = formula_from_dict({
+        "variables": ["u", "v", "w"],
+        "clauses": [{"literals": [{"var": v, "neg": False} for v in "uvw"]}],
+    })
+    s = compile_planar_1in3(f).points
+    assert len(s) // 2 > matching._INDEX_FROM
+
+    def decide():
+        return matching.decide_perfect(s, matching.MatchMode.MONO, max_points=len(s))
+
+    untraced = decide()
+    tracer = spans.Tracer()
+    with tracer.instrument():
+        traced = decide()
+    assert traced == untraced
+    assert fired == [untraced]
+    assert tracer.counts["matching.oracle.mode_pairs"] > 0
