@@ -1,16 +1,14 @@
-"""Exact planar geometry for two-colored point sets.
+"""Planar geometry for two-colored point sets.
 
-Points and rectangles carry `fractions.Fraction` coordinates: arithmetic and
-comparisons are exact, denominators stay in canonical reduced form, and no
-floating point ever enters a predicate.  Rectangles are *closed* boxes, so a
-point on the boundary counts as contained.
-
-Every predicate here compares coordinates by order only, so it gives the same
-answer on integer ranks: each `PointSet` ranks its x and y coordinates once,
-and `intersection_kinds` classifies a whole family on rank boxes with an
-x-sweep that visits only the pairs whose projections overlap.  Exact
-classification on `Fraction`s (`classify_intersection`) and on ranks run the
-same rule code.
+Points carry exact `fractions.Fraction` coordinates, so input, output and
+`perturb` never round.  Every predicate on rectangles compares coordinates
+by order only, so inside the solver a rectangle is a box of integer ranks:
+each `PointSet` ranks its x and y coordinates once, and a `Rect`'s bounds
+are the ranks of its two defining points' coordinates.  Rectangles are
+*closed* boxes, so a point on the boundary counts as contained.
+`intersection_kinds` classifies a whole family with an x-sweep that visits
+only the pairs whose projections overlap; `classify_intersection` runs the
+same rule on one pair.
 """
 from __future__ import annotations
 
@@ -34,12 +32,6 @@ class Color(Enum):
 class RectKind(Enum):
     SEGMENT = "segment"
     BOX = "box"
-
-
-class ColorClass(Enum):
-    RED_RED = "RR"
-    BLUE_BLUE = "BB"
-    MIXED = "RB"
 
 
 class IntersectionKind(Enum):
@@ -73,9 +65,12 @@ class PointSet:
     points: tuple[ColoredPoint, ...]
 
     def __post_init__(self):
+        # Keyed like `_dense_ranks`, by the terms of each coordinate in
+        # lowest terms, so that no `Fraction` is hashed.
         seen = set()
         for p in self.points:
-            key = (p.x, p.y)
+            x, y = p.x, p.y
+            key = (x.numerator, x.denominator, y.numerator, y.denominator)
             if key in seen:
                 raise ValueError(f"duplicate point at ({p.x}, {p.y})")
             seen.add(key)
@@ -93,10 +88,6 @@ class PointSet:
 
     def __getitem__(self, i: int) -> ColoredPoint:
         return self.points[i]
-
-    @cached_property
-    def _grid(self) -> "_Grid":
-        return _Grid([p.x for p in self.points], [p.y for p in self.points])
 
     @cached_property
     def _ranks(self) -> tuple[list[int], list[int]]:
@@ -131,29 +122,40 @@ def _dense_ranks(values: list[Coord]) -> list[int]:
     return [rank[k] for k in keys]
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Closed minimum enclosing axis-aligned rectangle of two defining points."""
+class Rect(NamedTuple):
+    """The closed minimum enclosing axis-aligned rectangle of points a and b
+    of a point set.  Its bounds are integer ranks of the set's coordinates
+    (`PointSet._ranks`); the exact coordinates are those of `s[a]` and
+    `s[b]`."""
 
+    xmin: int
+    xmax: int
+    ymin: int
+    ymax: int
     a: int
     b: int
-    xmin: Coord
-    xmax: Coord
-    ymin: Coord
-    ymax: Coord
-    kind: RectKind
-    color_class: ColorClass
 
     @property
     def key(self) -> tuple[int, int]:
         """Canonical defining-index pair."""
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
+    @property
+    def kind(self) -> RectKind:
+        """A segment iff the box has zero width or zero height."""
+        flat = self.xmin == self.xmax or self.ymin == self.ymax
+        return RectKind.SEGMENT if flat else RectKind.BOX
 
-def _color_class(c1: Color, c2: Color) -> ColorClass:
-    if c1 is not c2:
-        return ColorClass.MIXED
-    return ColorClass.RED_RED if c1 is Color.RED else ColorClass.BLUE_BLUE
+
+def _rect(xr: list[int], yr: list[int], i: int, j: int) -> Rect:
+    """The rectangle spanned by points i and j, given the x and y ranks of
+    their point set (`PointSet._ranks`)."""
+    xa, xb, ya, yb = xr[i], xr[j], yr[i], yr[j]
+    return Rect(
+        xa if xa < xb else xb, xb if xa < xb else xa,
+        ya if ya < yb else yb, yb if ya < yb else ya,
+        i, j,
+    )
 
 
 def rect_from_pair(s: PointSet, i: int, j: int) -> Rect:
@@ -162,38 +164,7 @@ def rect_from_pair(s: PointSet, i: int, j: int) -> Rect:
         raise ValueError("a rectangle needs two distinct defining points")
     if not (0 <= i < len(s) and 0 <= j < len(s)):
         raise ValueError(f"point index out of range: ({i}, {j})")
-    p, q = s[i], s[j]
-    xr, yr = s._ranks
-    xmin, xmax = (p.x, q.x) if xr[i] <= xr[j] else (q.x, p.x)
-    ymin, ymax = (p.y, q.y) if yr[i] <= yr[j] else (q.y, p.y)
-    flat = xr[i] == xr[j] or yr[i] == yr[j]
-    kind = RectKind.SEGMENT if flat else RectKind.BOX
-    return Rect(i, j, xmin, xmax, ymin, ymax, kind, _color_class(p.color, q.color))
-
-
-class RankBox(NamedTuple):
-    """A rectangle's bounds as integer ranks of its point set's coordinates."""
-
-    xmin: int
-    xmax: int
-    ymin: int
-    ymax: int
-
-
-def _rank_box(xr: list[int], yr: list[int], i: int, j: int) -> RankBox:
-    """The rank box spanned by points i and j, given the x and y ranks of
-    their point set (`PointSet._ranks`)."""
-    xa, xb, ya, yb = xr[i], xr[j], yr[i], yr[j]
-    return RankBox(
-        xa if xa < xb else xb, xb if xa < xb else xa,
-        ya if ya < yb else yb, yb if ya < yb else ya,
-    )
-
-
-def rank_boxes(s: PointSet, rects: Iterable[Rect]) -> list[RankBox]:
-    """The rank box of each rectangle of s, in order."""
-    xr, yr = s._ranks
-    return [_rank_box(xr, yr, r.a, r.b) for r in rects]
+    return _rect(*s._ranks, i, j)
 
 
 class _Grid:
@@ -222,16 +193,11 @@ class _Grid:
         return k < len(line) and line[k] <= hi
 
 
-def contains_point(r: Rect, p: ColoredPoint) -> bool:
-    """Closed containment: boundary points count."""
-    return r.xmin <= p.x <= r.xmax and r.ymin <= p.y <= r.ymax
-
-
 def pierces(r1, r2) -> bool:
     """True iff r2 pierces r1: r1's x-projection contains r2's, and r2's
     y-projection contains r1's.  Containment is non-strict, so equal
     projections qualify.  Works on any boxes with `xmin`, `xmax`, `ymin`
-    and `ymax`: `Rect`s and `RankBox`es alike."""
+    and `ymax` in one ordered coordinate system."""
     return (
         r1.xmin <= r2.xmin
         and r2.xmax <= r1.xmax
@@ -285,7 +251,8 @@ def _meet(r1, r2, grid: _Grid) -> IntersectionKind:
 
 
 def classify_intersection(s: PointSet, r1: Rect, r2: Rect) -> IntersectionKind:
-    """Total, symmetric classification of how two closed rectangles meet.
+    """Total, symmetric classification of how two closed rectangles of s
+    meet, decided on their rank boxes and the rank grid of s.
 
     Order of checks: disjoint, piercing (by projection containment, either
     direction), point (the overlap is a single point that belongs to s),
@@ -303,7 +270,7 @@ def classify_intersection(s: PointSet, r1: Rect, r2: Rect) -> IntersectionKind:
     exactness of the per-corner candidate families on inputs with repeated
     coordinates.
     """
-    return _meet(r1, r2, s._grid)
+    return _meet(r1, r2, s._rank_grid)
 
 
 def intersection_kinds(
@@ -312,37 +279,31 @@ def intersection_kinds(
     """`classify_intersection` of every intersecting pair (u, v), u < v, of
     rectangles of s, keys in sorted order; a pair that is absent is disjoint.
 
-    Runs on rank boxes.  A sweep in order of `xmin` pairs each box with the
-    later ones up to the first that starts right of its `xmax`, and skips
-    those whose y-ranges are disjoint: only pairs whose projections both
-    overlap are classified.
+    A sweep in order of `xmin` pairs each rectangle with the later ones up
+    to the first that starts right of its `xmax`, and skips those whose
+    y-ranges are disjoint: only pairs whose projections both overlap are
+    classified.
     """
-    boxes = rank_boxes(s, rects)
     grid = s._rank_grid
-    order = sorted(range(len(boxes)), key=lambda u: boxes[u].xmin)
-    starts = [boxes[u].xmin for u in order]
+    order = sorted(range(len(rects)), key=lambda u: rects[u].xmin)
+    starts = [rects[u].xmin for u in order]
     m = len(order)
     DISJOINT = IntersectionKind.DISJOINT
     found = []
     for pos in range(m):
         u = order[pos]
-        bu = boxes[u]
-        _, xmax, ymin, ymax = bu
+        ru = rects[u]
+        _, xmax, ymin, ymax, _, _ = ru
         end = bisect_right(starts, xmax, pos + 1)
         for v in order[pos + 1:end]:
-            bv = boxes[v]
-            if bv.ymin > ymax or bv.ymax < ymin:
+            rv = rects[v]
+            if rv.ymin > ymax or rv.ymax < ymin:
                 continue
-            kind = _meet(bu, bv, grid)
+            kind = _meet(ru, rv, grid)
             if kind is not DISJOINT:
                 found.append(((u, v) if u < v else (v, u), kind))
     found.sort(key=itemgetter(0))
     return dict(found)
-
-
-def rects_conflict(s: PointSet, r1: Rect, r2: Rect) -> bool:
-    """True iff the two rectangles cannot coexist in a strong matching."""
-    return classify_intersection(s, r1, r2) is not IntersectionKind.DISJOINT
 
 
 def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
@@ -406,12 +367,14 @@ def _color_pairs(s: PointSet, same: bool) -> list[tuple[int, int]]:
 
 def candidate_monochromatic(s: PointSet) -> list[Rect]:
     """All empty rectangles over same-colored pairs of s."""
-    return [rect_from_pair(s, i, j) for i, j in _color_pairs(s, True)]
+    xr, yr = s._ranks
+    return [_rect(xr, yr, i, j) for i, j in _color_pairs(s, True)]
 
 
 def candidate_bichromatic(s: PointSet) -> list[Rect]:
     """All empty rectangles over differently-colored pairs of s."""
-    return [rect_from_pair(s, i, j) for i, j in _color_pairs(s, False)]
+    xr, yr = s._ranks
+    return [_rect(xr, yr, i, j) for i, j in _color_pairs(s, False)]
 
 
 def perturb(s: PointSet, n: int) -> PointSet:

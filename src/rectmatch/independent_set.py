@@ -10,7 +10,7 @@ a two-coloring of what remains.  The exact independent-set oracle that
 checks these stages is test-side, in `tests/naive.py`.
 
 Each family's intersection structure is built once, by an x-sweep over the
-members' integer-rank boxes that reports only the intersecting pairs.  It is
+members' rank boxes that reports only the intersecting pairs.  It is
 kept on the family, and the sub-families that `RectFamily.restrict` makes
 (the survivors of corner elimination, the chosen antichain) inherit it, so
 the completeness check, corner elimination, the piercing order and the
@@ -28,10 +28,9 @@ from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
-    contains_point,
+    empty_pairs,
     intersection_kinds,
     pierces,
-    rank_boxes,
 )
 
 
@@ -51,12 +50,17 @@ class RectFamily:
     def checked(cls, base: PointSet, rects: Iterable[Rect]) -> "RectFamily":
         """Build a family, verifying each member contains only its two points."""
         rects = tuple(rects)
+        empty = set(empty_pairs(base))
+        xr, yr = base._ranks
         for r in rects:
-            for k, p in enumerate(base):
-                if k != r.a and k != r.b and contains_point(r, p):
-                    raise ValueError(
-                        f"rect {r.key} is not empty: contains point {k} at ({p.x}, {p.y})"
-                    )
+            if r.key in empty:
+                continue
+            k = next(k for k in range(len(base)) if k != r.a and k != r.b
+                     and r.xmin <= xr[k] <= r.xmax and r.ymin <= yr[k] <= r.ymax)
+            p = base[k]
+            raise ValueError(
+                f"rect {r.key} is not empty: contains point {k} at ({p.x}, {p.y})"
+            )
         return cls(base, rects)
 
     def __len__(self) -> int:
@@ -197,22 +201,22 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     pierce both ways, and distinct empty rectangles never have them.  A
     corner pair or equal boxes raise a ContractError with the pair.
     """
-    boxes = rank_boxes(f.base, f.rects)
+    rects = f.rects
     arcs = []
     for (u, v), kind in f._kinds.items():
         if kind is IntersectionKind.CORNER:
             raise ContractError(
                 f"piercing_order requires a corner-free family; pair "
-                f"{f.rects[u].key} / {f.rects[v].key} has a corner intersection"
+                f"{rects[u].key} / {rects[v].key} has a corner intersection"
             )
         if kind is not IntersectionKind.PIERCING:
             continue
-        if boxes[u] == boxes[v]:
+        if rects[u][:4] == rects[v][:4]:
             raise ContractError(
-                f"mutual piercing between {f.rects[u].key} and {f.rects[v].key}"
+                f"mutual piercing between {rects[u].key} and {rects[v].key}"
             )
-        arcs.append((u, v) if pierces(boxes[u], boxes[v]) else (v, u))
-    return PiercingDag(len(f.rects), frozenset(arcs))
+        arcs.append((u, v) if pierces(rects[u], rects[v]) else (v, u))
+    return PiercingDag(len(rects), frozenset(arcs))
 
 
 def _kuhn_matching(n: int, adj: Sequence[Sequence[int]]) -> dict[int, int]:

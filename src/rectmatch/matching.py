@@ -14,11 +14,11 @@ The exact oracles `brute_force_max_matching`, `decide_perfect` and
 `count_perfect_matchings` are one depth-first search with three objectives
 (max, decide, count).  Its stack is explicit, so the search has no depth
 limit: inputs of thousands of points are bounded only by the size guard.
-The search runs on integer rank boxes and decides conflicts with the rule
-that classifies intersections everywhere else (`geometry._meet`).  A search
-that can choose more than a few dozen boxes buckets the chosen ones by cell
-of the rank grid, so a conflict test reads only the boxes near the query;
-a smaller one scans them all.  The maximum search also prunes with the free
+The search runs on the candidates' `Rect`s, whose bounds are ranks, and
+decides conflicts with the rule that classifies intersections everywhere
+else (`geometry._meet`).  A search that can choose more than a few dozen
+boxes buckets the chosen ones by cell of the rank grid, so a conflict test
+reads only the boxes near the query; a smaller one scans them all.  The maximum search also prunes with the free
 points that still have a feasible partner; the search stays exponential in
 the worst case.
 """
@@ -41,13 +41,12 @@ from rectmatch.geometry import (
     _color_pairs,
     _json_field,
     _meet,
-    _rank_box,
+    _rect,
     candidate_bichromatic,
     candidate_monochromatic,
     empty_pairs,
-    rank_boxes,
+    intersection_kinds,
     rect_from_pair,
-    rects_conflict,
 )
 from rectmatch.independent_set import (
     IndependentSet,
@@ -137,10 +136,10 @@ _BI_FAMILIES = (
 def _split(f: RectFamily, families) -> tuple[RectFamily, ...]:
     """One family per entry of `families`, each in the order of `f.rects`."""
     out: tuple[list[Rect], ...] = tuple([] for _ in families)
-    for r, b in zip(f.rects, rank_boxes(f.base, f.rects)):
+    for r in f.rects:
         corners = {
-            (_BL, _defining_at(f.base, r, b.xmin, b.ymin)),
-            (_BR, _defining_at(f.base, r, b.xmax, b.ymin)),
+            (_BL, _defining_at(f.base, r, r.xmin, r.ymin)),
+            (_BR, _defining_at(f.base, r, r.xmax, r.ymin)),
         }
         for rs, family in zip(out, families):
             if corners & family:
@@ -245,43 +244,33 @@ _WIDE_CELLS = 4
 _SAMPLE = 256
 
 
-class _SearchSpace:
-    """The candidate pairs of a mode as rank boxes: `box[(i, j)]` for i < j,
-    and each point's partners in ascending order with their boxes.
-    `allowed_pairs`, when given, keeps only those pairs.  `chosen()` makes
-    the container of a search's chosen boxes, which decides conflicts with
-    `geometry._meet` on the rank grid, the rule that
+def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=None):
+    """The candidate pairs of a mode, as each point's partners in ascending
+    order with the `Rect` of each pair, and an empty container for at most
+    `capacity` chosen boxes.  `allowed_pairs`, when given, keeps only those
+    pairs.  The container is a plain list when `capacity` is small, else an
+    index over the rank grid whose cell side is the median extent of about
+    `_SAMPLE` candidate boxes, taken evenly from the pairs in order.  It
+    decides conflicts with `geometry._meet` on the rank grid, the rule that
     `classify_intersection` and `intersection_kinds` run."""
-
-    def __init__(self, s: PointSet, mode: MatchMode, allowed_pairs=None):
-        keep = None
-        if allowed_pairs is not None:
-            keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
-        xr, yr = s._ranks
-        self.grid = s._rank_grid
-        self.box = {}
-        self.partners = [[] for _ in range(len(s))]
-        for i, j in _color_pairs(s, mode is MatchMode.MONO):
-            if keep is not None and (i, j) not in keep:
-                continue
-            box = _rank_box(xr, yr, i, j)
-            self.box[(i, j)] = box
-            self.partners[i].append((j, box))
-            self.partners[j].append((i, box))
-        for lst in self.partners:
-            lst.sort()
-
-    def chosen(self, capacity: int):
-        """An empty container for at most `capacity` chosen boxes: a plain
-        list when that is small, else an index over the rank grid whose
-        cell side is the median extent of the candidate boxes."""
-        if capacity <= _INDEX_FROM:
-            return _ChosenList(self.grid)
-        boxes = list(self.box.values())
-        sample = sorted(max(b[1] - b[0], b[3] - b[2])
-                        for b in boxes[::len(boxes) // _SAMPLE + 1])
-        side = max(1, sample[len(sample) // 2]) if sample else 1
-        return _ChosenIndex(self.grid, side)
+    pairs = _color_pairs(s, mode is MatchMode.MONO)
+    if allowed_pairs is not None:
+        keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
+        pairs = [p for p in pairs if p in keep]
+    xr, yr = s._ranks
+    # The pairs come sorted, so each point's partners come in ascending order.
+    partners = [[] for _ in range(len(s))]
+    for i, j in pairs:
+        box = _rect(xr, yr, i, j)
+        partners[i].append((j, box))
+        partners[j].append((i, box))
+    grid = s._rank_grid
+    if capacity <= _INDEX_FROM:
+        return partners, _ChosenList(grid)
+    sample = sorted(max(abs(xr[i] - xr[j]), abs(yr[i] - yr[j]))
+                    for i, j in pairs[::len(pairs) // _SAMPLE + 1])
+    side = max(1, sample[len(sample) // 2]) if sample else 1
+    return partners, _ChosenIndex(grid, side)
 
 
 class _ChosenList(list):
@@ -297,7 +286,7 @@ class _ChosenList(list):
     def conflicts(self, box) -> bool:
         """True iff box meets one of the chosen boxes; `_meet` decides the
         boxes whose x and y projections both overlap box's."""
-        x1, x2, y1, y2 = box
+        x1, x2, y1, y2, _, _ = box
         grid = self.grid
         for b in self:
             if b[0] > x2 or b[1] < x1 or b[2] > y2 or b[3] < y1:
@@ -347,7 +336,7 @@ class _ChosenIndex:
 
     def conflicts(self, box) -> bool:
         """True iff box meets one of the chosen boxes."""
-        x1, x2, y1, y2 = box
+        x1, x2, y1, y2, _, _ = box
         c = self.side
         cx1, cx2, cy1, cy2 = x1 // c, x2 // c, y1 // c, y2 // c
         if (cx2 - cx1 + 1) * (cy2 - cy1 + 1) >= len(self.boxes):
@@ -394,8 +383,8 @@ def _search(
     stack is explicit, so the depth of the search is not limited by
     Python's recursion limit.
 
-    The chosen boxes live in the container `_SearchSpace.chosen` picks once
-    per search from n // 2, the most boxes the search can choose: a list
+    The chosen boxes live in the container `_search_space` picks once per
+    search from n // 2, the most boxes the search can choose: a list
     scanned in full up to `_INDEX_FROM`, a `_ChosenIndex` beyond.  Both
     push and pop in step with the stack and give the same conflict answers,
     so the choice changes only the time taken.
@@ -412,14 +401,15 @@ def _search(
         n % 2 or (mode is MatchMode.BI and s.count(Color.RED) != s.count(Color.BLUE))
     ):
         return 0, ()
-    space = _SearchSpace(s, mode, allowed_pairs)
-    chosen = space.chosen(n // 2)
+    partners_of, chosen = _search_space(s, mode, n // 2, allowed_pairs)
     conflicts = chosen.conflicts
     used = [False] * n
     forced: list[tuple[int, int]] = []
     for i, j in forced_pairs:
         key = (min(i, j), max(i, j))
-        box = space.box.get(key)
+        box = None
+        if 0 <= key[0] and key[1] < n:
+            box = next((b for q, b in partners_of[key[0]] if q == key[1]), None)
         if box is None:
             problem = "is not a candidate pair"
         elif used[key[0]] or used[key[1]]:
@@ -438,7 +428,6 @@ def _search(
     best = -1 if maximize else n // 2 - 1
     leaves = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
-    partners_of = space.partners
     is_red = [p.color is Color.RED for p in s]
     mono = mode is MatchMode.MONO
 
@@ -608,10 +597,8 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     whether it is perfect.  Failures are recorded with witnesses, never
     raised.
 
-    Disjointness is decided by `rects_conflict` on the exact rectangles,
-    for the pairs whose x-projections overlap: in order of `xmin`, each
-    rectangle meets the later ones up to the first that starts right of
-    its `xmax`."""
+    Disjointness is decided by `intersection_kinds` on the rectangles of
+    the valid pairs."""
     bad_index = tuple(
         (i, j) for i, j in m.pairs
         if not (0 <= i < len(s) and 0 <= j < len(s) and i != j)
@@ -633,16 +620,8 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     color = Check("color_rule", not bad_color, bad_color)
 
     rects = [rect_from_pair(s, i, j) for i, j in valid_pairs]
-    order = sorted(range(len(rects)), key=lambda a: rects[a].xmin)
-    hits = []
-    for pos, a in enumerate(order):
-        for b in order[pos + 1:]:
-            if rects[b].xmin > rects[a].xmax:
-                break
-            if rects_conflict(s, rects[a], rects[b]):
-                hits.append((a, b) if a < b else (b, a))
-    hits.sort()
-    overlaps = tuple((valid_pairs[a], valid_pairs[b]) for a, b in hits)
+    overlaps = tuple((valid_pairs[a], valid_pairs[b])
+                     for a, b in intersection_kinds(s, rects))
     disjoint = Check("rects_pairwise_disjoint", not overlaps, overlaps)
 
     return VerificationReport(

@@ -4,21 +4,18 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from rectmatch.geometry import Color, ColorClass, PointSet, rect_from_pair
+from rectmatch.geometry import Color, PointSet, rect_from_pair
 from rectmatch.matching import Matching
 
 _FILL = {Color.RED: "#c0392b", Color.BLUE: "#2962a8"}
-_STROKE = {
-    ColorClass.RED_RED: "#c0392b",
-    ColorClass.BLUE_BLUE: "#2962a8",
-    ColorClass.MIXED: "#7d3c98",
-}
+_MIXED = "#7d3c98"
 
 
 def render_svg(s: PointSet, matching: Matching | None = None, *, size: int = 640) -> str:
     """An SVG drawing of the points (red/blue dots) and, optionally, the
-    rectangles of a matching, one stroke color per rectangle color class.
-    The y axis is flipped into screen coordinates."""
+    rectangles of a matching, stroked in the color of their two defining
+    points, or purple when the colors differ.  The y axis is flipped into
+    screen coordinates."""
     if len(s) == 0:
         xmin = ymin = Fraction(0)
         xmax = ymax = Fraction(1)
@@ -50,12 +47,16 @@ def render_svg(s: PointSet, matching: Matching | None = None, *, size: int = 640
     if matching is not None:
         for i, j in matching.pairs:
             r = rect_from_pair(s, i, j)
+            p, q = s[r.a], s[r.b]
+            x1, x2 = min(p.x, q.x), max(p.x, q.x)
+            y1, y2 = min(p.y, q.y), max(p.y, q.y)
+            stroke = _FILL[p.color] if p.color is q.color else _MIXED
             ET.SubElement(
                 root, "rect",
-                x=f"{sx(r.xmin):.2f}", y=f"{sy(r.ymax):.2f}",
-                width=f"{max(sx(r.xmax) - sx(r.xmin), 1.0):.2f}",
-                height=f"{max(sy(r.ymin) - sy(r.ymax), 1.0):.2f}",
-                fill="none", stroke=_STROKE[r.color_class], **{"stroke-width": "1.5"},
+                x=f"{sx(x1):.2f}", y=f"{sy(y2):.2f}",
+                width=f"{max(sx(x2) - sx(x1), 1.0):.2f}",
+                height=f"{max(sy(y1) - sy(y2), 1.0):.2f}",
+                fill="none", stroke=stroke, **{"stroke-width": "1.5"},
             )
     radius = max(2.0, float(scale) * 0.18)
     for p in s:

@@ -1,20 +1,19 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the exact `Fraction` rectangles, except `conflicts_naive`, which
-checks the oracle's index of chosen rank boxes."""
+work on the points' exact `Fraction` coordinates, except `conflicts_naive`,
+which checks the oracle's index of chosen rank boxes."""
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from rectmatch.errors import ContractError, GuardError
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
+    _Grid,
     _meet,
     classify_intersection,
-    contains_point,
     rect_from_pair,
-    rects_conflict,
 )
 from rectmatch.independent_set import (
     IndependentSet,
@@ -24,15 +23,41 @@ from rectmatch.independent_set import (
 )
 
 
+class ExactBox(NamedTuple):
+    """The rectangle of two points of a set in their exact coordinates."""
+
+    xmin: object
+    xmax: object
+    ymin: object
+    ymax: object
+
+
+def exact_box(s: PointSet, i: int, j: int) -> ExactBox:
+    p, q = s[i], s[j]
+    return ExactBox(min(p.x, q.x), max(p.x, q.x), min(p.y, q.y), max(p.y, q.y))
+
+
+def exact_grid(s: PointSet) -> _Grid:
+    return _Grid([p.x for p in s], [p.y for p in s])
+
+
+def classify_exact(s: PointSet, r1: tuple[int, int], r2: tuple[int, int]) -> IntersectionKind:
+    """The kind of the rectangles of the index pairs r1 and r2 of s, by
+    `_meet` on their exact `Fraction` boxes and the exact grid of s."""
+    return _meet(exact_box(s, *r1), exact_box(s, *r2), exact_grid(s))
+
+
 def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
-    """Reference quadratic-pairs filter; used to cross-check the sweep."""
+    """Reference quadratic-pairs filter on the exact coordinates; used to
+    cross-check the sweep."""
     out = []
     n = len(s)
     for i in range(n):
         for j in range(i + 1, n):
-            r = rect_from_pair(s, i, j)
+            b = exact_box(s, i, j)
             if not any(
-                contains_point(r, s[k]) for k in range(n) if k != i and k != j
+                b.xmin <= s[k].x <= b.xmax and b.ymin <= s[k].y <= b.ymax
+                for k in range(n) if k != i and k != j
             ):
                 out.append((i, j))
     return out
@@ -41,7 +66,7 @@ def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
 def matching_sizes_naive(s: PointSet, same_color: bool) -> tuple[int, int]:
     """(maximum size, number of perfect matchings) of the strong matchings
     of s, by enumerating every set of candidate pairs that is vertex-disjoint
-    and pairwise free of `rects_conflict`."""
+    and pairwise `DISJOINT` by `classify_intersection`."""
     pairs = [
         (i, j) for i, j in empty_pairs_naive(s)
         if (s[i].color is s[j].color) == same_color
@@ -58,7 +83,8 @@ def matching_sizes_naive(s: PointSet, same_color: bool) -> tuple[int, int]:
             i, j = pairs[k]
             if i in used or j in used:
                 continue
-            if any(rects_conflict(s, rects[k], rects[c]) for c in chosen):
+            if any(classify_intersection(s, rects[k], rects[c])
+                   is not IntersectionKind.DISJOINT for c in chosen):
                 continue
             extend(k + 1, used | {i, j}, chosen + [k])
 

@@ -254,3 +254,31 @@ class TestRender:
                          "--out", str(out))
         assert code == 0
         assert "rect" in out.read_text()
+
+    def test_rects_drawn_at_exact_coordinates(self, tmp_path, capsys):
+        """Rational points with a red-red, a mixed and a blue-blue segment
+        rectangle: each `<rect>` sits at its two points' exact coordinates,
+        a segment is drawn one pixel thick, and the stroke is the points'
+        color, purple when they differ."""
+        pts = tmp_path / "p.pts"
+        pts.write_text("0 0 R\n3/2 5/2 R\n7/2 1/3 B\n5 9/4 R\n1/2 4 B\n3 4 B\n")
+        rep = tmp_path / "m.json"
+        rep.write_text(json.dumps(
+            {"mode": "monochromatic", "pairs": [[1, 0], [2, 3], [5, 4]]}))
+        out = tmp_path / "p.svg"
+        code, _, _ = run(capsys, "render", str(pts), "--matching", str(rep),
+                         "--out", str(out))
+        assert code == 0
+        text = out.read_text()
+        assert text.startswith(
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+            'height="494.55" viewBox="0 0 640 494.55">')
+        rects = [line.split(" />")[0] for line in text.split("<rect ")[1:]]
+        assert rects == [
+            'x="29.09" y="203.64" width="174.55" height="290.91" fill="none" '
+            'stroke="#c0392b" stroke-width="1.5"',
+            'x="436.36" y="232.73" width="174.55" height="223.03" fill="none" '
+            'stroke="#7d3c98" stroke-width="1.5"',
+            'x="87.27" y="29.09" width="290.91" height="1.00" fill="none" '
+            'stroke="#2962a8" stroke-width="1.5"',
+        ]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from rectmatch.geometry import (
     Color,
-    ColorClass,
     IntersectionKind,
     PointSet,
     Rect,
@@ -15,7 +14,6 @@ from rectmatch.geometry import (
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
-    contains_point,
     dump_points,
     empty_pairs,
     is_general_position,
@@ -26,7 +24,7 @@ from rectmatch.geometry import (
     rect_from_pair,
 )
 
-from naive import dense_ranks_naive, empty_pairs_naive
+from naive import classify_exact, dense_ranks_naive, empty_pairs_naive, exact_box
 
 
 def ps(*triples):
@@ -37,29 +35,35 @@ def rect(s, i, j):
     return rect_from_pair(s, i, j)
 
 
+def contains(s, r, k) -> bool:
+    """Closed containment of point k of s in r, on ranks: boundary points
+    count."""
+    xr, yr = s._ranks
+    return r.xmin <= xr[k] <= r.xmax and r.ymin <= yr[k] <= r.ymax
+
+
 class TestRectFromPair:
     def test_diagonal_box(self):
         s = ps((0, 0, "B"), (5, 5, "B"))
         r = rect(s, 0, 1)
-        assert (r.xmin, r.xmax, r.ymin, r.ymax) == (0, 5, 0, 5)
+        assert (r.xmin, r.xmax, r.ymin, r.ymax) == (0, 1, 0, 1)
+        assert exact_box(s, r.a, r.b) == (0, 5, 0, 5)
         assert r.kind is RectKind.BOX
 
     def test_aligned_pair_is_segment(self):
         s = ps((0, 0, "B"), (3, 0, "B"))
         r = rect(s, 0, 1)
-        assert (r.xmin, r.xmax, r.ymin, r.ymax) == (0, 3, 0, 0)
+        assert (r.xmin, r.xmax, r.ymin, r.ymax) == (0, 1, 0, 0)
+        assert exact_box(s, r.a, r.b) == (0, 3, 0, 0)
         assert r.kind is RectKind.SEGMENT
 
     def test_antidiagonal_same_bounds(self):
         s = ps((5, 0, "R"), (0, 5, "R"))
         r = rect(s, 0, 1)
-        assert (r.xmin, r.xmax, r.ymin, r.ymax) == (0, 5, 0, 5)
-
-    def test_color_classes(self):
-        s = ps((0, 0, "R"), (1, 1, "R"), (2, 2, "B"), (3, 3, "B"))
-        assert rect(s, 0, 1).color_class is ColorClass.RED_RED
-        assert rect(s, 2, 3).color_class is ColorClass.BLUE_BLUE
-        assert rect(s, 0, 2).color_class is ColorClass.MIXED
+        assert (r.xmin, r.xmax, r.ymin, r.ymax) == (0, 1, 0, 1)
+        assert exact_box(s, r.a, r.b) == (0, 5, 0, 5)
+        assert (r.a, r.b, r.key) == (0, 1, (0, 1))
+        assert rect(s, 1, 0).key == (0, 1)
 
     def test_equal_indices_rejected(self):
         s = ps((0, 0, "B"), (1, 1, "B"))
@@ -71,22 +75,21 @@ class TestRectFromPair:
 
 class TestContainment:
     def test_boundary_inclusive(self):
-        s = ps((0, 0, "B"), (5, 5, "B"))
+        s = ps((0, 0, "B"), (5, 5, "B"), (5, 3, "R"), (6, 3, "R"))
         r = rect(s, 0, 1)
-        assert contains_point(r, point(5, 3, "R"))
-        assert not contains_point(r, point(6, 3, "R"))
+        assert contains(s, r, 2)
+        assert not contains(s, r, 3)
 
     def test_degenerate_rect(self):
-        s = ps((0, 0, "B"), (3, 0, "B"))
+        s = ps((0, 0, "B"), (3, 0, "B"), (2, 0, "R"), (2, Fraction(1, 100), "R"))
         r = rect(s, 0, 1)
-        assert contains_point(r, point(2, 0, "R"))
-        assert not contains_point(r, point(2, Fraction(1, 100), "R"))
+        assert r.kind is RectKind.SEGMENT
+        assert contains(s, r, 2)
+        assert not contains(s, r, 3)
 
 
 def mk_rect(xmin, xmax, ymin, ymax) -> Rect:
-    return Rect(0, 1, Fraction(xmin), Fraction(xmax), Fraction(ymin), Fraction(ymax),
-                RectKind.SEGMENT if xmin == xmax or ymin == ymax else RectKind.BOX,
-                ColorClass.BLUE_BLUE)
+    return Rect(xmin, xmax, ymin, ymax, 0, 1)
 
 
 class TestPierces:
@@ -198,8 +201,11 @@ class TestCandidates:
                 (x, y, "R" if rng.random() < 0.4 else "B") for x, y in pts
             )
             for r in candidate_monochromatic(s) + candidate_bichromatic(s):
-                inside = [k for k in range(len(s)) if contains_point(r, s[k])]
+                b = exact_box(s, r.a, r.b)
+                inside = [k for k, p in enumerate(s)
+                          if b.xmin <= p.x <= b.xmax and b.ymin <= p.y <= b.ymax]
                 assert sorted(inside) == sorted([r.a, r.b])
+                assert [k for k in range(len(s)) if contains(s, r, k)] == inside
 
     @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=2, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -264,8 +270,9 @@ class TestCandidateFamilyProperties:
             for b in range(a + 1, len(rects)):
                 r1, r2 = rects[a], rects[b]
                 if classify_intersection(s, r1, r2) is IntersectionKind.POINT:
-                    lox = max(r1.xmin, r2.xmin)
-                    loy = max(r1.ymin, r2.ymin)
+                    b1, b2 = exact_box(s, r1.a, r1.b), exact_box(s, r2.a, r2.b)
+                    lox = max(b1.xmin, b2.xmin)
+                    loy = max(b1.ymin, b2.ymin)
                     shared = {(lox, loy)}
                     defining_1 = {s[r1.a].pos(), s[r1.b].pos()}
                     defining_2 = {s[r2.a].pos(), s[r2.b].pos()}

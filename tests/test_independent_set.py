@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,9 @@ from rectmatch.independent_set import (
 
 from naive import (
     brute_force_mis,
+    classify_exact,
     dump_edges,
+    exact_box,
     gpc_subgraph,
     mis_of_graph,
     order_violation,
@@ -87,6 +91,17 @@ CROSS_POINTS = [
     (2, 0, "B"), (6, 5, "B"),      # lower-right box, corner intersection
 ]
 CROSS_PAIRS = [(0, 1), (2, 3), (0, 3), (2, 1)]
+
+
+class TestChecked:
+    def test_non_empty_rectangle_rejected_with_its_point(self):
+        # Rect (0, 1) holds point 2 on its right side and point 4 inside;
+        # the witness is the lowest index, at its exact coordinates.
+        s = ps((0, 0, "B"), (4, 4, "B"), (4, Fraction(3, 2), "R"), (6, 6, "B"),
+               (1, 1, "R"))
+        with pytest.raises(ValueError, match=re.escape(
+                "rect (0, 1) is not empty: contains point 2 at (4, 3/2)")):
+            RectFamily.checked(s, [rect_from_pair(s, 1, 3), rect_from_pair(s, 1, 0)])
 
 
 class TestBuildGraph:
@@ -407,7 +422,7 @@ def all_pairs_family(s, segments_only=False):
 
 
 def dense_kinds(f):
-    """Every pair classified on the exact rectangles, disjoint ones dropped."""
+    """Every pair classified one at a time, disjoint ones dropped."""
     m = len(f.rects)
     out = {}
     for u in range(m):
@@ -418,10 +433,24 @@ def dense_kinds(f):
     return out
 
 
+@given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+@settings(max_examples=200, deadline=None)
+def test_rank_classification_equals_exact(pts):
+    """`classify_intersection` on rank `Rect`s gives the kind of the exact
+    `Fraction` rectangles, for every pair of rectangles of the set, empty
+    or not."""
+    f = all_pairs_family(PointSet.from_tuples(pts))
+    for u, ru in enumerate(f.rects):
+        for rv in f.rects[u + 1:]:
+            assert classify_intersection(f.base, ru, rv) is classify_exact(
+                f.base, ru.key, rv.key)
+
+
 class TestSparseKinds:
     """`pairwise_kinds` sweeps rank boxes; it must agree with classifying
-    every pair on `Fraction`s, and a restricted family must inherit exactly
-    the kinds it would compute itself."""
+    every pair one at a time, which agrees with the exact `Fraction`
+    rectangles (`test_rank_classification_equals_exact`), and a restricted
+    family must inherit exactly the kinds it would compute itself."""
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
            st.booleans(), st.randoms(use_true_random=False))
@@ -456,8 +485,8 @@ class TestDominanceOrder:
         for (u, v), k in kinds.items():
             if k is not K.PIERCING:
                 continue
-            a, b = f.rects[u], f.rects[v]
-            assert (a.xmin, a.xmax, a.ymin, a.ymax) != (b.xmin, b.xmax, b.ymin, b.ymax)
+            a, b = exact_box(f.base, *f.rects[u].key), exact_box(f.base, *f.rects[v].key)
+            assert a != b
             arcs.add((u, v) if pierces(a, b) else (v, u))
         assert order_violation(PiercingDag(len(f), frozenset(arcs))) is None
         if K.CORNER not in kinds.values():

@@ -20,7 +20,7 @@ from rectmatch.geometry import (
     Color,
     IntersectionKind,
     PointSet,
-    RankBox,
+    Rect,
     _Grid,
     candidate_bichromatic,
     candidate_monochromatic,
@@ -139,7 +139,7 @@ class TestFamilyStructure:
             for fam in split_families_mono(f):
                 assert verify_complete(fam)
                 for (u, v), k in pairwise_kinds(fam).items():
-                    cu, cv = fam.rects[u].color_class, fam.rects[v].color_class
+                    cu, cv = s[fam.rects[u].a].color, s[fam.rects[v].a].color
                     if cu is not cv and k is not K.DISJOINT:
                         assert k is K.PIERCING
                     if cu is cv:
@@ -628,7 +628,7 @@ def oracle_inputs(draw):
 def test_oracle_matches_subset_enumeration(s):
     """The oracle's maximum, its decision and its count of perfect
     matchings equal those of enumerating every conflict-free set of
-    candidate pairs with `rects_conflict` on the exact rectangles."""
+    candidate pairs with `classify_intersection`."""
     for mode in MatchMode:
         best, perfect = matching_sizes_naive(s, mode is MatchMode.MONO)
         assert len(brute_force_max_matching(s, mode)) == best
@@ -657,7 +657,7 @@ def box_operations(draw):
             y2 = y1
         elif shape == "whole":
             x1, x2, y1, y2 = 0, g - 1, 0, g - 1
-        return RankBox(x1, x2, y1, y2)
+        return Rect(x1, x2, y1, y2, 0, 1)
 
     # A query reads the cells only when they are fewer than the chosen
     # boxes, so most sequences start with a run of pushes.
