@@ -75,10 +75,12 @@ class RectFamily:
         return pairwise_kinds(self)
 
     def restrict(self, indices: Sequence[int]) -> "RectFamily":
-        """The sub-family of the members at the ascending `indices`.  Once
-        this family's intersection kinds are known, the sub-family inherits
-        them instead of classifying its pairs again."""
-        sub = RectFamily(self.base, tuple(self.rects[i] for i in indices))
+        """The sub-family of the members at the ascending `indices`.  It
+        cannot hold a duplicate, so it skips the check of `__post_init__`.
+        Once this family's intersection kinds are known, the sub-family
+        inherits them instead of classifying its pairs again."""
+        sub = object.__new__(RectFamily)
+        sub.__dict__.update(base=self.base, rects=tuple(self.rects[i] for i in indices))
         if "_kinds" in self.__dict__:
             new = {old: k for k, old in enumerate(indices)}
             sub.__dict__["_kinds"] = {

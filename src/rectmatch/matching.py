@@ -16,11 +16,13 @@ The exact oracles `brute_force_max_matching`, `decide_perfect` and
 limit: inputs of thousands of points are bounded only by the size guard.
 The search runs on the candidates' `Rect`s, whose bounds are ranks, and
 decides conflicts with the rule that classifies intersections everywhere
-else (`geometry._meet`).  A search that can choose more than a few dozen
-boxes buckets the chosen ones by cell of the rank grid, so a conflict test
-reads only the boxes near the query; a smaller one scans them all.  The maximum search also prunes with the free
-points that still have a feasible partner; the search stays exponential in
-the worst case.
+else (`geometry._meet`).  A search that can choose at most a few dozen
+boxes works out once which candidates meet which, as one bitmask per
+candidate, so a conflict test is one bit test.  A larger one buckets the
+chosen boxes by cell of the rank grid, so a conflict test reads only the
+boxes near the query.  The maximum search also prunes with the free points
+that still have a feasible partner; the search stays exponential in the
+worst case.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from rectmatch.geometry import (
     _color_pairs,
     _json_field,
     _meet,
+    _overlapping,
     _rect,
     candidate_bichromatic,
     candidate_monochromatic,
@@ -236,7 +239,8 @@ def with_oracle(s: PointSet, report: SolveReport, *, guard: int | None = None) -
 # Exact oracle
 
 # A search that can choose more boxes than this indexes them; a smaller one
-# scans a plain list, which costs less than keeping the index up to date.
+# keeps them as a bitmask over the candidates, whose pairwise conflicts cost
+# less to work out once than a large search's index costs to keep up to date.
 _INDEX_FROM = 32
 # A chosen box spanning more cells than this along either axis is wide.
 _WIDE_CELLS = 4
@@ -246,76 +250,97 @@ _SAMPLE = 256
 
 def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=None):
     """The candidate pairs of a mode, as each point's partners in ascending
-    order with the `Rect` of each pair, and an empty container for at most
-    `capacity` chosen boxes.  `allowed_pairs`, when given, keeps only those
-    pairs.  The container is a plain list when `capacity` is small, else an
-    index over the rank grid whose cell side is the median extent of about
-    `_SAMPLE` candidate boxes, taken evenly from the pairs in order.  It
-    decides conflicts with `geometry._meet` on the rank grid, the rule that
-    `classify_intersection` and `intersection_kinds` run."""
+    order, each with the index of the pair's `Rect` among the candidates,
+    and an empty container for at most `capacity` chosen candidates.
+    `allowed_pairs`, when given, keeps only those pairs.
+
+    The container is a `_ChosenMask` when `capacity` is at most
+    `_INDEX_FROM`, else a `_ChosenIndex` over the rank grid whose cell side
+    is the median extent of about `_SAMPLE` candidate boxes, taken evenly
+    from the pairs in order.  Both decide conflicts with `geometry._meet`
+    on the rank grid, the rule that `classify_intersection` and
+    `intersection_kinds` run."""
     pairs = _color_pairs(s, mode is MatchMode.MONO)
     if allowed_pairs is not None:
         keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
         pairs = [p for p in pairs if p in keep]
     xr, yr = s._ranks
+    rects = [_rect(xr, yr, i, j) for i, j in pairs]
     # The pairs come sorted, so each point's partners come in ascending order.
     partners = [[] for _ in range(len(s))]
-    for i, j in pairs:
-        box = _rect(xr, yr, i, j)
-        partners[i].append((j, box))
-        partners[j].append((i, box))
+    for k, (i, j) in enumerate(pairs):
+        partners[i].append((j, k))
+        partners[j].append((i, k))
     grid = s._rank_grid
     if capacity <= _INDEX_FROM:
-        return partners, _ChosenList(grid)
+        return partners, _ChosenMask(grid, rects)
     sample = sorted(max(abs(xr[i] - xr[j]), abs(yr[i] - yr[j]))
                     for i, j in pairs[::len(pairs) // _SAMPLE + 1])
     side = max(1, sample[len(sample) // 2]) if sample else 1
-    return partners, _ChosenIndex(grid, side)
+    return partners, _ChosenIndex(grid, rects, side)
 
 
-class _ChosenList(list):
-    """The chosen boxes of a small search in push order, scanned in full by
-    `conflicts`."""
+class _ChosenMask:
+    """The chosen candidates of a small search, as the bitmask `blocked` of
+    the candidates that meet one of them.  Bit v of `conf[u]` is set iff
+    candidates u and v meet.  Two candidates that share a defining point
+    meet, as `_meet` would find: the point lies in both boxes.  So their
+    bits come from the points' incidence masks, and `_meet` decides only
+    the pairs that `_overlapping` reports whose bit is not set yet.
+    `append` saves `blocked` before it ORs in the new candidate's mask, so
+    `pop` restores it last in, first out."""
 
-    __slots__ = ("grid",)
+    __slots__ = ("conf", "blocked", "saved")
 
-    def __init__(self, grid):
-        super().__init__()
-        self.grid = grid
+    def __init__(self, grid, rects: Sequence[Rect]):
+        incident: defaultdict[int, int] = defaultdict(int)
+        for k, r in enumerate(rects):
+            incident[r.a] |= 1 << k
+            incident[r.b] |= 1 << k
+        conf = [incident[r.a] | incident[r.b] for r in rects]
+        DISJOINT = IntersectionKind.DISJOINT
+        for u, v in _overlapping(rects):
+            if not conf[u] >> v & 1 and _meet(rects[u], rects[v], grid) is not DISJOINT:
+                conf[u] |= 1 << v
+                conf[v] |= 1 << u
+        self.conf = conf
+        self.blocked = 0
+        self.saved: list[int] = []
 
-    def conflicts(self, box) -> bool:
-        """True iff box meets one of the chosen boxes; `_meet` decides the
-        boxes whose x and y projections both overlap box's."""
-        x1, x2, y1, y2, _, _ = box
-        grid = self.grid
-        for b in self:
-            if b[0] > x2 or b[1] < x1 or b[2] > y2 or b[3] < y1:
-                continue
-            if _meet(box, b, grid) is not IntersectionKind.DISJOINT:
-                return True
-        return False
+    def append(self, k: int) -> None:
+        self.saved.append(self.blocked)
+        self.blocked |= self.conf[k]
+
+    def pop(self) -> None:
+        self.blocked = self.saved.pop()
+
+    def conflicts(self, k: int) -> int:
+        """Nonzero iff candidate k meets one of the chosen candidates."""
+        return self.blocked >> k & 1
 
 
 class _ChosenIndex:
-    """The chosen boxes of a large search, bucketed by the square cells of
-    side `side` on the rank grid that they overlap.  A box that spans more
-    than `_WIDE_CELLS` cells along an axis goes to the `wide` list instead.
-    `append` and `pop` work last in, first out, so a popped box is the last
-    one in each of its buckets.  `conflicts` tests the boxes in the cells
-    of the query box and the wide ones, or every chosen box when that is
-    fewer; `_meet` decides each one."""
+    """The chosen candidates of a large search, bucketed by the square cells
+    of side `side` on the rank grid that their boxes overlap.  A box that
+    spans more than `_WIDE_CELLS` cells along an axis goes to the `wide`
+    list instead.  `append` and `pop` work last in, first out, so a popped
+    box is the last one in each of its buckets.  `conflicts` tests the
+    boxes in the cells of the query box and the wide ones, or every chosen
+    box when that is fewer; `_meet` decides each one."""
 
-    __slots__ = ("grid", "side", "cells", "wide", "boxes", "held")
+    __slots__ = ("grid", "rects", "side", "cells", "wide", "boxes", "held")
 
-    def __init__(self, grid, side: int):
+    def __init__(self, grid, rects: Sequence[Rect], side: int):
         self.grid = grid
+        self.rects = rects
         self.side = side
         self.cells: defaultdict[tuple[int, int], list] = defaultdict(list)
         self.wide: list = []
         self.boxes: list = []  # in push order
         self.held: list[list[list]] = []  # the buckets of each box
 
-    def append(self, box) -> None:
+    def append(self, k: int) -> None:
+        box = self.rects[k]
         c = self.side
         cx1, cx2, cy1, cy2 = box[0] // c, box[1] // c, box[2] // c, box[3] // c
         if cx2 - cx1 >= _WIDE_CELLS or cy2 - cy1 >= _WIDE_CELLS:
@@ -334,8 +359,9 @@ class _ChosenIndex:
         for bucket in self.held.pop():
             bucket.pop()
 
-    def conflicts(self, box) -> bool:
-        """True iff box meets one of the chosen boxes."""
+    def conflicts(self, k: int) -> bool:
+        """True iff candidate k meets one of the chosen candidates."""
+        box = self.rects[k]
         x1, x2, y1, y2, _, _ = box
         c = self.side
         cx1, cx2, cy1, cy2 = x1 // c, x2 // c, y1 // c, y2 // c
@@ -383,11 +409,12 @@ def _search(
     stack is explicit, so the depth of the search is not limited by
     Python's recursion limit.
 
-    The chosen boxes live in the container `_search_space` picks once per
-    search from n // 2, the most boxes the search can choose: a list
-    scanned in full up to `_INDEX_FROM`, a `_ChosenIndex` beyond.  Both
-    push and pop in step with the stack and give the same conflict answers,
-    so the choice changes only the time taken.
+    The chosen candidates live in the container `_search_space` picks
+    once per search from n // 2, the most boxes the search can choose: a
+    `_ChosenMask` up to `_INDEX_FROM`, a `_ChosenIndex` beyond.  The
+    partner lists name each candidate by its index, which both containers
+    take.  Both push and pop in step with the stack and give the same
+    conflict answers, so the choice changes only the time taken.
     """
     limit = max_points if max_points is not None else oracle_guard()
     n = len(s)
@@ -407,18 +434,18 @@ def _search(
     forced: list[tuple[int, int]] = []
     for i, j in forced_pairs:
         key = (min(i, j), max(i, j))
-        box = None
+        k = None
         if 0 <= key[0] and key[1] < n:
-            box = next((b for q, b in partners_of[key[0]] if q == key[1]), None)
-        if box is None:
+            k = next((c for q, c in partners_of[key[0]] if q == key[1]), None)
+        if k is None:
             problem = "is not a candidate pair"
         elif used[key[0]] or used[key[1]]:
             problem = "reuses a point"
-        elif conflicts(box):
+        elif conflicts(k):
             problem = "conflicts with another forced pair"
         else:
             used[key[0]] = used[key[1]] = True
-            chosen.append(box)
+            chosen.append(k)
             forced.append(key)
             continue
         if maximize:
@@ -447,8 +474,8 @@ def _search(
             if matched + (reds + blues + free) // 2 <= best:
                 return False
             free -= 1
-            for q, box in partners_of[p]:
-                if not used[q] and not conflicts(box):
+            for q, k in partners_of[p]:
+                if not used[q] and not conflicts(k):
                     if is_red[p]:
                         reds += 1
                     else:
@@ -489,11 +516,11 @@ def _search(
                 frame[4] = -1
             if partners is not None:
                 if matched + free // 2 > best:
-                    for j, box in partners:
-                        if used[j] or conflicts(box):
+                    for j, k in partners:
+                        if used[j] or conflicts(k):
                             continue
                         used[j] = True
-                        chosen.append(box)
+                        chosen.append(k)
                         if not maximize or beats_best(i + 1, matched + 1, free - 2):
                             break
                         used[j] = False

@@ -1,7 +1,7 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
 work on the points' exact `Fraction` coordinates, except `conflicts_naive`,
-which checks the oracle's index of chosen rank boxes."""
+which checks the oracle's containers of chosen rank boxes."""
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple

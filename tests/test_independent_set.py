@@ -103,6 +103,20 @@ class TestChecked:
                 "rect (0, 1) is not empty: contains point 2 at (4, 3/2)")):
             RectFamily.checked(s, [rect_from_pair(s, 1, 3), rect_from_pair(s, 1, 0)])
 
+    def test_duplicate_rectangle_rejected(self):
+        s = ps((0, 0, "B"), (1, 1, "B"))
+        r = rect_from_pair(s, 1, 0)
+        with pytest.raises(ValueError, match=re.escape("duplicate rectangle (0, 1)")):
+            RectFamily(s, (r, r))
+
+    def test_restrict_equals_the_sub_family(self):
+        """`restrict` skips the duplicate check, yet builds the family that
+        the constructor would."""
+        f = family(ps(*CROSS_POINTS), CROSS_PAIRS)
+        sub = f.restrict([0, 2, 3])
+        assert sub == RectFamily(f.base, (f.rects[0], f.rects[2], f.rects[3]))
+        assert len(sub) == 3 and sub.keys() == {(0, 1), (0, 3), (1, 2)}
+
 
 class TestBuildGraph:
     def test_disjoint(self):

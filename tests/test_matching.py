@@ -395,26 +395,27 @@ class TestOracle:
 
 
 @pytest.fixture
-def built_indexes(monkeypatch):
-    """The `_ChosenIndex`es that the oracle builds while the test runs."""
-    built = []
+def built(monkeypatch):
+    """The `_ChosenMask`s and `_ChosenIndex`es that the oracle builds while
+    the test runs, by class name."""
+    built = {"_ChosenMask": [], "_ChosenIndex": []}
+    for name, found in built.items():
+        class Recorded(getattr(matching_module, name)):
+            __slots__ = ()
 
-    class Recorded(matching_module._ChosenIndex):
-        __slots__ = ()
+            def __init__(self, *args, _found=found):
+                super().__init__(*args)
+                _found.append(self)
 
-        def __init__(self, grid, side):
-            super().__init__(grid, side)
-            built.append(self)
-
-    monkeypatch.setattr(matching_module, "_ChosenIndex", Recorded)
+        monkeypatch.setattr(matching_module, name, Recorded)
     return built
 
 
 class TestChosenIndex:
     """Searches that can choose more than `_INDEX_FROM` boxes run on the
-    index of chosen boxes."""
+    index of chosen boxes, smaller ones on the bitmask."""
 
-    def test_compiled_clause(self, built_indexes):
+    def test_compiled_clause(self, built):
         f = formula_from_dict({
             "variables": ["u", "v", "w"],
             "clauses": [{"literals": [
@@ -427,22 +428,23 @@ class TestChosenIndex:
         assert len(s) // 2 > matching_module._INDEX_FROM
         assert decide_perfect(s, MatchMode.MONO, max_points=len(s)) \
             == one_in_three_satisfiable(f)
-        assert len(built_indexes) == 1
+        assert len(built["_ChosenIndex"]) == 1
 
     @pytest.mark.parametrize("axis", ["row", "column"])
-    def test_collinear_run_pairs_neighbours(self, built_indexes, axis):
+    def test_collinear_run_pairs_neighbours(self, built, axis):
         n = 300
         line = [(k, 7) if axis == "row" else (7, k) for k in range(n)]
         s = PointSet.from_tuples((x, y, "R") for x, y in line)
         assert n // 2 > matching_module._INDEX_FROM
         m = brute_force_max_matching(s, MatchMode.MONO, max_points=n)
         assert m.pairs == tuple((k, k + 1) for k in range(0, n, 2))
-        assert len(built_indexes) == 1
+        assert len(built["_ChosenIndex"]) == 1
 
-    def test_small_search_scans_a_list(self, built_indexes):
+    def test_small_search_keeps_a_bitmask(self, built):
         s = gadget_random_instance(24, 24, 0.5, seed=1)
         brute_force_max_matching(s, MatchMode.MONO, max_points=24)
-        assert built_indexes == []
+        assert len(built["_ChosenMask"]) == 1
+        assert built["_ChosenIndex"] == []
 
 
 class TestVerifyMatching:
@@ -638,14 +640,22 @@ def test_oracle_matches_subset_enumeration(s):
 
 @st.composite
 def box_operations(draw):
-    """A rank grid of up to 8 x 8 with points on it, a cell side, and a
-    sequence of pushes, pops and queries of rank boxes.  The boxes include
-    zero-width and zero-height segments, boxes with shared coordinates and
-    boxes spanning the whole grid."""
+    """A rank grid of up to 8 x 8 with points on it, candidate boxes, a cell
+    side, and a sequence of pushes, pops and queries of the candidates.
+    The boxes include zero-width and zero-height segments, boxes with
+    shared coordinates and boxes spanning the whole grid.  As in the
+    oracle, each box is spanned by two points at opposite corners, and
+    boxes with a corner in common share the point there."""
     g = draw(st.integers(1, 8))
     coord = st.integers(0, g - 1)
     points = draw(st.lists(st.tuples(coord, coord), max_size=20))
-    grid = _Grid([x for x, _ in points], [y for _, y in points])
+    at = {p: k for k, p in enumerate(points)}
+
+    def corner(x, y):
+        if (x, y) not in at:
+            at[x, y] = len(points)
+            points.append((x, y))
+        return at[x, y]
 
     def box():
         x1, x2 = sorted((draw(coord), draw(coord)))
@@ -657,36 +667,70 @@ def box_operations(draw):
             y2 = y1
         elif shape == "whole":
             x1, x2, y1, y2 = 0, g - 1, 0, g - 1
-        return Rect(x1, x2, y1, y2, 0, 1)
+        return Rect(x1, x2, y1, y2, corner(x1, y1), corner(x2, y2))
 
+    rects = [box() for _ in range(draw(st.integers(1, 30)))]
+    grid = _Grid([x for x, _ in points], [y for _, y in points])
+    pick = st.integers(0, len(rects) - 1)
     # A query reads the cells only when they are fewer than the chosen
     # boxes, so most sequences start with a run of pushes.
-    ops = [("push", box()) for _ in range(draw(st.integers(0, 30)))]
-    ops += [(op, box()) for op in draw(st.lists(
+    ops = [("push", draw(pick)) for _ in range(draw(st.integers(0, 30)))]
+    ops += [(op, draw(pick)) for op in draw(st.lists(
         st.sampled_from(["push", "query", "query", "pop"]), max_size=40))]
-    return grid, draw(st.integers(1, 4)), ops
+    return grid, rects, draw(st.integers(1, 4)), ops
 
 
 @given(box_operations())
 @settings(max_examples=300, deadline=None)
 def test_chosen_index_answers_as_the_scan(case):
-    """Under any last-in-first-out sequence of pushes and pops, the index
-    and the list give every conflict query the answer of `_meet` over all
+    """Under any last-in-first-out sequence of pushes and pops, the bitmask
+    and the index give every conflict query the answer of `_meet` over all
     chosen boxes."""
-    grid, side, ops = case
+    grid, rects, side, ops = case
     chosen = []
-    index = matching_module._ChosenIndex(grid, side)
-    scan = matching_module._ChosenList(grid)
-    for op, box in ops:
+    mask = matching_module._ChosenMask(grid, rects)
+    index = matching_module._ChosenIndex(grid, rects, side)
+    for op, k in ops:
         if op == "push":
-            chosen.append(box)
-            index.append(box)
-            scan.append(box)
+            chosen.append(rects[k])
+            mask.append(k)
+            index.append(k)
         elif op == "pop" and chosen:
             chosen.pop()
+            mask.pop()
             index.pop()
-            scan.pop()
         else:
-            want = conflicts_naive(box, chosen, grid)
-            assert index.conflicts(box) == want
-            assert scan.conflicts(box) == want
+            want = conflicts_naive(rects[k], chosen, grid)
+            assert bool(mask.conflicts(k)) == want
+            assert index.conflicts(k) == want
+
+
+@given(solver_inputs(max_size=12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bitmask_and_index_searches_agree(s, data):
+    """`_search` reaches the same leaves and returns the same pairs whether
+    it keeps the chosen boxes as a bitmask or, with `_INDEX_FROM` at 0, in
+    the index: for every objective, with forced pairs (which may be
+    invalid) and with a restricted set of allowed pairs."""
+    for mode in MatchMode:
+        same = mode is MatchMode.MONO
+        pairs = [(i, j) for i, j in empty_pairs(s)
+                 if (s[i].color is s[j].color) == same]
+        forced, allowed = [], None
+        if pairs:
+            forced = data.draw(st.lists(st.sampled_from(pairs), max_size=2))
+            allowed = data.draw(st.none() | st.lists(st.sampled_from(pairs), unique=True))
+
+        def answers():
+            return [
+                _outcome(lambda: matching_module._search(
+                    s, mode, objective, len(s), forced_pairs, allowed_pairs))
+                for objective in ("max", "decide", "count")
+                for forced_pairs, allowed_pairs in (((), None), (forced, allowed))
+            ]
+
+        masked = answers()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching_module, "_INDEX_FROM", 0)
+            indexed = answers()
+        assert masked == indexed
