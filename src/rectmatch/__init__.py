@@ -21,7 +21,6 @@ from rectmatch.geometry import (
     load_points,
     perturb,
     rect_from_pair,
-    save_points,
 )
 from rectmatch.independent_set import (
     IndependentSet,
@@ -66,7 +65,7 @@ __all__ = [
     "Color", "ColoredPoint", "IntersectionKind", "PointSet", "Rect",
     "candidate_bichromatic", "candidate_monochromatic",
     "classify_intersection", "is_general_position", "load_points",
-    "perturb", "rect_from_pair", "save_points",
+    "perturb", "rect_from_pair",
     "IndependentSet", "IntersectionGraph", "PiercingDag", "RectFamily",
     "build_graph", "corner_elimination", "forest_two_color",
     "max_antichain", "piercing_order", "verify_complete",

@@ -36,6 +36,10 @@ from rectmatch.geometry import (
 
 def random_instance(n: int, grid_n: int, red_fraction: float, seed: int) -> PointSet:
     """n distinct uniform points on [0..grid_n]^2 with independent colors."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if grid_n < 0:
+        raise ValueError(f"grid_n must be non-negative, got {grid_n}")
     cells = (grid_n + 1) ** 2
     if n > cells:
         raise ValueError(f"cannot place {n} distinct points on a {grid_n + 1}^2 grid")

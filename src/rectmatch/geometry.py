@@ -465,8 +465,3 @@ def _json_field(obj, key: str, kind: type, where: str):
 def load_points(path) -> PointSet:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_points(fh.read())
-
-
-def save_points(s: PointSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_points(s))

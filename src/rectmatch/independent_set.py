@@ -9,28 +9,33 @@ computed by minimum chain cover), while point contacts are handled later by
 a two-coloring of what remains.  The exact independent-set oracle that
 checks these stages is test-side, in `tests/naive.py`.
 
-Each family's intersection structure is built once, by an x-sweep over the
-members' rank boxes that reports only the intersecting pairs.  It is
-kept on the family, and the sub-families that `RectFamily.restrict` makes
-(the survivors of corner elimination, the chosen antichain) inherit it, so
-the completeness check, corner elimination, the piercing order and the
-contact graph all read one structure and nothing is classified twice.
+Piercing is a dominance order on the members' rank boxes, so a family's
+piercing pairs are never listed one by one: bitmasks of the members,
+prefix and suffix masks over each bound of the boxes, give every member
+the members that pierce it, that it pierces and that overlap it.  Only
+the overlapping pairs that are not comparable are classified, and these
+corner, point and side pairs grow about linearly with the family.  They
+are kept on the family, and the sub-families that `RectFamily.restrict`
+makes (the survivors of corner elimination, the chosen antichain) inherit
+them, so the completeness check, corner elimination and the contact graph
+read one structure and nothing is classified twice.  The piercing order
+stays in bitmasks, and the chain cover runs on them.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from rectmatch.errors import ContractError
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
+    _meet,
     empty_pairs,
-    intersection_kinds,
-    pierces,
 )
 
 
@@ -71,13 +76,14 @@ class RectFamily:
 
     @cached_property
     def _kinds(self) -> dict[tuple[int, int], IntersectionKind]:
-        """`pairwise_kinds(self)`, computed once per family."""
+        """`pairwise_kinds(self)`, the non-piercing intersecting pairs,
+        computed once per family."""
         return pairwise_kinds(self)
 
     def restrict(self, indices: Sequence[int]) -> "RectFamily":
         """The sub-family of the members at the ascending `indices`.  It
         cannot hold a duplicate, so it skips the check of `__post_init__`.
-        Once this family's intersection kinds are known, the sub-family
+        Once this family's non-piercing kinds are known, the sub-family
         inherits them instead of classifying its pairs again."""
         sub = object.__new__(RectFamily)
         sub.__dict__.update(base=self.base, rects=tuple(self.rects[i] for i in indices))
@@ -105,11 +111,18 @@ class IntersectionGraph:
 
 @dataclass(frozen=True)
 class PiercingDag:
-    """Arcs u -> v mean rectangle v pierces rectangle u; transitive and
-    acyclic by construction (see `piercing_order`)."""
+    """The piercing order of a family's members as bitmasks: bit v of
+    `above[u]` records that member v pierces member u (see
+    `piercing_order`).  The order is transitive and acyclic by
+    construction."""
 
     n: int
-    arcs: frozenset[tuple[int, int]]
+    above: tuple[int, ...]
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The pairs (u, v) such that v pierces u."""
+        return frozenset((u, v) for u, m in enumerate(self.above) for v in _bits(m))
 
 
 @dataclass(frozen=True)
@@ -117,15 +130,93 @@ class IndependentSet:
     members: frozenset[int]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, in ascending order."""
+    digits = bin(mask)[:1:-1]
+    k = digits.find("1")
+    while k >= 0:
+        yield k
+        k = digits.find("1", k + 1)
+
+
+def _bound_masks(f: RectFamily) -> list[tuple[list[int], list[int]]]:
+    """For each bound of the members' rank boxes, in the order xmin, xmax,
+    ymin, ymax: per rank r of the base, the bitmask of the members whose
+    bound is at most r and the bitmask of those whose bound is at least r."""
+    size = len(f.base)
+    buckets = [[0] * size for _ in range(4)]
+    x1s, x2s, y1s, y2s = buckets
+    bit = 1
+    for x1, x2, y1, y2, _, _ in f.rects:
+        x1s[x1] |= bit
+        x2s[x2] |= bit
+        y1s[y1] |= bit
+        y2s[y2] |= bit
+        bit <<= 1
+    out = []
+    for bucket in buckets:
+        at_most, at_least = [0] * size, [0] * size
+        acc = 0
+        for r in range(size):
+            if bucket[r]:
+                acc |= bucket[r]
+            at_most[r] = acc
+        acc = 0
+        for r in range(size - 1, -1, -1):
+            if bucket[r]:
+                acc |= bucket[r]
+            at_least[r] = acc
+        out.append((at_most, at_least))
+    return out
+
+
+def _dominance(f: RectFamily) -> Iterator[tuple[int, int, int, int]]:
+    """Per member u in order: u, the bitmask of the members that pierce u,
+    that of the members that u pierces, and that of the members whose
+    projections both overlap u's; each holds u itself.
+
+    Piercing is coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin,
+    ymax), so each mask is the intersection of four prefix or suffix masks
+    of `_bound_masks`.  Two members pierce one another exactly when they
+    have equal boxes."""
+    (x1le, x1ge), (x2le, x2ge), (y1le, y1ge), (y2le, y2ge) = _bound_masks(f)
+    for u, (x1, x2, y1, y2, _, _) in enumerate(f.rects):
+        yield (u,
+               x1ge[x1] & x2le[x2] & y1le[y1] & y2ge[y2],
+               x1le[x1] & x2ge[x2] & y1ge[y1] & y2le[y2],
+               x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1])
+
+
 def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
-    """The kind of every intersecting pair (u, v), u < v, of members, keys in
-    sorted order; a pair that is absent is disjoint."""
-    return intersection_kinds(f.base, f.rects)
+    """The kind of every intersecting pair (u, v), u < v, of members that
+    do not pierce one another, keys in sorted order: the corner, point and
+    side pairs.  A pair that is absent is disjoint or piercing; the
+    piercing pairs are the comparable pairs of `_dominance`, so only the
+    overlapping pairs that are not comparable are classified, by `_meet`."""
+    rects, grid = f.rects, f.base._rank_grid
+    DISJOINT = IntersectionKind.DISJOINT
+    out = {}
+    for u, above, below, overlap in _dominance(f):
+        rest = (overlap & ~(above | below)) >> (u + 1)
+        if rest:
+            ru = rects[u]
+            for k in _bits(rest):
+                v = u + 1 + k
+                kind = _meet(ru, rects[v], grid)
+                if kind is not DISJOINT:
+                    out[(u, v)] = kind
+    return out
 
 
 def build_graph(f: RectFamily) -> IntersectionGraph:
-    edges = tuple((u, v, kind) for (u, v), kind in f._kinds.items())
-    return IntersectionGraph(len(f.rects), edges)
+    """Every intersecting pair of members with its kind, in sorted order:
+    the piercing pairs from `_dominance`, the others from `pairwise_kinds`."""
+    PIERCING = IntersectionKind.PIERCING
+    edges = [(u, v, kind) for (u, v), kind in f._kinds.items()]
+    for u, above, below, _ in _dominance(f):
+        edges.extend((u, u + 1 + k, PIERCING) for k in _bits((above | below) >> (u + 1)))
+    edges.sort(key=itemgetter(0, 1))
+    return IntersectionGraph(len(f.rects), tuple(edges))
 
 
 def _crossing_keys(f: RectFamily, u: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -196,7 +287,7 @@ def corner_elimination(f: RectFamily) -> RectFamily:
 
 
 def piercing_order(f: RectFamily) -> PiercingDag:
-    """Orient the piercing pairs of a corner-free family: an arc u -> v
+    """The piercing order of a corner-free family: bit v of `above[u]`
     records that rectangle v pierces rectangle u.  `pierces(u, v)` is
     coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin, ymax), so
     the order is transitive and acyclic by construction; only equal boxes
@@ -204,66 +295,49 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     corner pair or equal boxes raise a ContractError with the pair.
     """
     rects = f.rects
-    arcs = []
     for (u, v), kind in f._kinds.items():
         if kind is IntersectionKind.CORNER:
             raise ContractError(
                 f"piercing_order requires a corner-free family; pair "
                 f"{rects[u].key} / {rects[v].key} has a corner intersection"
             )
-        if kind is not IntersectionKind.PIERCING:
-            continue
-        if rects[u][:4] == rects[v][:4]:
+    above = []
+    for u, m, below, _ in _dominance(f):
+        twins = (m & below) ^ (1 << u)
+        if twins:
+            v = (twins & -twins).bit_length() - 1
             raise ContractError(
                 f"mutual piercing between {rects[u].key} and {rects[v].key}"
             )
-        arcs.append((u, v) if pierces(rects[u], rects[v]) else (v, u))
-    return PiercingDag(len(rects), frozenset(arcs))
+        above.append(m ^ (1 << u))
+    return PiercingDag(len(rects), tuple(above))
 
 
-def _kuhn_matching(n: int, adj: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Maximum bipartite matching (left u -> right v) by augmenting paths.
-
-    Each augmenting search is a depth-first walk from one left vertex over
-    the right vertices not yet seen in that search.  Its stack is explicit,
-    so a path may be longer than Python's recursion limit."""
-    match_right: dict[int, int] = {}
-    match_left: dict[int, int] = {}
-    for root in range(n):
-        if not adj[root]:
-            continue
-        v = adj[root][0]
-        if v not in match_right:  # most searches end at their first step
-            match_right[v] = root
-            match_left[root] = v
-            continue
-        seen: set[int] = set()
-        # The walk is at left vertex u with its edges `it` left to try; each
-        # stack entry is an ancestor, its edges left and the right vertex
-        # through which the walk left it.
-        u, it = root, iter(adj[root])
-        stack: list[tuple] = []
-        while True:
-            for v in it:
-                if v not in seen:
-                    break
-            else:
-                if not stack:
-                    break
-                u, it, _ = stack.pop()
-                continue
-            seen.add(v)
-            w = match_right.get(v)
-            if w is None:
-                match_right[v] = u
-                match_left[u] = v
-                for x, _, y in stack:
-                    match_right[y] = x
-                    match_left[x] = y
-                break
-            stack.append((u, it, v))
-            u, it = w, iter(adj[w])
-    return match_left
+def _layers(above: Sequence[int], match_right: list[int],
+            roots: list[int], free: int) -> tuple[list[int], int]:
+    """Breadth-first search from the left copies `roots` along alternating
+    paths: unmatched arcs to right copies, matched ones back.  Returns the
+    bitmask of the right copies first reached from each layer of left
+    copies and the bitmask of the left copies reached.  The search stops at
+    the first layer that reaches a right copy in `free`, and that layer
+    keeps only those."""
+    unseen = (1 << len(above)) - 1
+    layers = []
+    reached = 0
+    while roots:
+        found = 0
+        for u in roots:
+            reached |= 1 << u
+            m = above[u] & unseen
+            if m:
+                unseen ^= m
+                found |= m
+        if found & free:
+            layers.append(found & free)
+            break
+        layers.append(found)
+        roots = [match_right[v] for v in _bits(found)]
+    return layers, reached
 
 
 def max_antichain(d: PiercingDag) -> IndependentSet:
@@ -272,50 +346,72 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
     Split every element into a left and a right copy, connect u_left to
     v_right for each arc u -> v, and take a maximum matching: the order's
     minimum chain cover has size n minus the matching, and by the chain
-    decomposition that is also the maximum antichain size.  The antichain
-    itself falls out of the matching's minimum vertex cover: keep the
-    elements with neither copy covered.
+    decomposition that is also the maximum antichain size.  The matching
+    is Hopcroft and Karp's (1973) on the bitmasks of `d.above`: a greedy
+    first match, then phases of a breadth-first search that layers the
+    alternating paths from the free left copies and a depth-first search
+    along the layers that augments vertex-disjoint shortest paths.  Both
+    searches keep explicit stacks, and each phase visits a right copy at
+    most once.
+
+    The antichain is the set of elements whose left copy the alternating
+    paths from the free left copies reach and whose right copy they do
+    not: the elements with neither copy in the minimum vertex cover.  That
+    set is the same for every maximum matching (Dulmage and Mendelsohn).
     """
-    n = d.n
-    arcs = sorted(d.arcs)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        adj[u].append(v)
-    match_left = _kuhn_matching(n, adj)
-    match_right = {v: u for u, v in match_left.items()}
-
-    # Alternating reachability from unmatched left copies.
-    reach_left = {u for u in range(n) if u not in match_left}
-    reach_right: set[int] = set()
-    frontier = list(reach_left)
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v in reach_right:
-                continue
-            if match_left.get(u) == v:
-                continue
-            reach_right.add(v)
-            w = match_right.get(v)
-            if w is not None and w not in reach_left:
-                reach_left.add(w)
-                frontier.append(w)
-
-    # Vertex cover is (L \ reach_left) + (R ∩ reach_right); an element is in
-    # the antichain iff neither of its copies is covered.
-    members = frozenset(
-        x for x in range(n)
-        if (x in reach_left or x not in match_left) and x not in reach_right
-    )
-    if len(members) != n - len(match_left):
+    n, above = d.n, d.above
+    match_left, match_right = [-1] * n, [-1] * n
+    free = (1 << n) - 1  # right copies not matched
+    for u in range(n):
+        m = above[u] & free
+        if m:
+            low = m & -m
+            free ^= low
+            v = low.bit_length() - 1
+            match_left[u], match_right[v] = v, u
+    while True:
+        roots = [u for u in range(n) if match_left[u] < 0]
+        layers, reach_left = _layers(above, match_right, roots, free)
+        if not layers or not layers[-1] & free:
+            break
+        for root in roots:
+            # `path` holds the left copies of the walk, `via[i]` the right
+            # copy that joins path[i] to path[i + 1].
+            path, via = [root], []
+            while path:
+                m = above[path[-1]] & layers[len(path) - 1]
+                if not m:
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                low = m & -m
+                layers[len(path) - 1] ^= low
+                v = low.bit_length() - 1
+                via.append(v)
+                if match_right[v] < 0:
+                    free ^= low
+                    for x, y in zip(path, via):
+                        match_left[x], match_right[y] = y, x
+                    break
+                path.append(match_right[v])
+    reach_right = 0
+    for m in layers:
+        reach_right |= m
+    members = reach_left & ~reach_right
+    size = members.bit_count()
+    matched = n - match_left.count(-1)
+    if size != n - matched:
         raise ContractError(
-            f"chain cover identity failed: antichain {len(members)}, "
-            f"matching {len(match_left)}, n {n}"
+            f"chain cover identity failed: antichain {size}, "
+            f"matching {matched}, n {n}"
         )
-    for u, v in arcs:
-        if u in members and v in members:
+    for u in _bits(members):
+        clash = above[u] & members
+        if clash:
+            v = (clash & -clash).bit_length() - 1
             raise ContractError(f"antichain members {u}, {v} are comparable")
-    return IndependentSet(members)
+    return IndependentSet(frozenset(_bits(members)))
 
 
 def forest_two_color(g: IntersectionGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

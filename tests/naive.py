@@ -1,10 +1,11 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
 work on the points' exact `Fraction` coordinates, except `conflicts_naive`,
-which checks the oracle's containers of chosen rank boxes."""
+which checks the oracle's containers of chosen rank boxes, and
+`antichain_by_kuhn`, which checks `max_antichain` on a given order."""
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from rectmatch.errors import ContractError, GuardError
 from rectmatch.geometry import (
@@ -117,6 +118,85 @@ def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:
 def dump_edges(g: IntersectionGraph) -> str:
     """Debug dump: one `i j KIND` line per edge."""
     return "".join(f"{u} {v} {k.name}\n" for u, v, k in g.edges)
+
+
+def dag_from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> PiercingDag:
+    """The `PiercingDag` on n elements whose arcs u -> v are `arcs`."""
+    above = [0] * n
+    for u, v in arcs:
+        above[u] |= 1 << v
+    return PiercingDag(n, tuple(above))
+
+
+def kuhn_matching(n: int, adj: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Maximum bipartite matching (left u -> right v) by augmenting paths.
+
+    Each augmenting search is a depth-first walk from one left vertex over
+    the right vertices not yet seen in that search.  Its stack is explicit,
+    so a path may be longer than Python's recursion limit."""
+    match_right: dict[int, int] = {}
+    match_left: dict[int, int] = {}
+    for root in range(n):
+        if not adj[root]:
+            continue
+        v = adj[root][0]
+        if v not in match_right:  # most searches end at their first step
+            match_right[v] = root
+            match_left[root] = v
+            continue
+        seen: set[int] = set()
+        # The walk is at left vertex u with its edges `it` left to try; each
+        # stack entry is an ancestor, its edges left and the right vertex
+        # through which the walk left it.
+        u, it = root, iter(adj[root])
+        stack: list[tuple] = []
+        while True:
+            for v in it:
+                if v not in seen:
+                    break
+            else:
+                if not stack:
+                    break
+                u, it, _ = stack.pop()
+                continue
+            seen.add(v)
+            w = match_right.get(v)
+            if w is None:
+                match_right[v] = u
+                match_left[u] = v
+                for x, _, y in stack:
+                    match_right[y] = x
+                    match_left[x] = y
+                break
+            stack.append((u, it, v))
+            u, it = w, iter(adj[w])
+    return match_left
+
+
+def antichain_by_kuhn(d: PiercingDag) -> frozenset[int]:
+    """The antichain that `max_antichain` reads off a maximum matching of
+    the split order, with the matching found by `kuhn_matching` on the
+    sorted arcs and the alternating reachability walked over sets."""
+    n = d.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(d.arcs):
+        adj[u].append(v)
+    match_left = kuhn_matching(n, adj)
+    match_right = {v: u for u, v in match_left.items()}
+    reach_left = {u for u in range(n) if u not in match_left}
+    reach_right: set[int] = set()
+    frontier = list(reach_left)
+    while frontier:
+        u = frontier.pop()
+        for v in adj[u]:
+            if v in reach_right or match_left.get(u) == v:
+                continue
+            reach_right.add(v)
+            w = match_right.get(v)
+            if w is not None and w not in reach_left:
+                reach_left.add(w)
+                frontier.append(w)
+    return frozenset(reach_left - reach_right)
 
 
 def order_violation(d: PiercingDag) -> tuple | None:

@@ -38,6 +38,16 @@ class TestGen:
     def test_missing_choice(self, capsys):
         assert run(capsys, "gen")[0] == 2
 
+    @pytest.mark.parametrize("n, grid, message", [
+        ("-3", "4", "error: n must be non-negative, got -3"),
+        ("1", "-2", "error: grid_n must be non-negative, got -2"),
+    ])
+    def test_random_negative_size_rejected(self, tmp_path, capsys, n, grid, message):
+        code, _, err = run(capsys, "gen", "--random", n, grid, "0.5",
+                           "--out", str(tmp_path / "p.pts"))
+        assert code == 1
+        assert err.strip() == message
+
     def test_bad_clause_signs(self, capsys):
         code, out, err = run(capsys, "gen", "--clause", "+,+")
         assert code == 2
@@ -219,6 +229,12 @@ class TestBench:
         assert len(rows) == 2
         for row in rows:
             assert row.split(",")[5:] == ["", ""]
+
+    def test_negative_n_rejected(self, tmp_path, capsys):
+        code, _, err = run(capsys, "bench", "--n", "-1", "--trials", "1",
+                           "--out", str(tmp_path / "bench.csv"))
+        assert code == 1
+        assert err.strip() == "error: n must be non-negative, got -1"
 
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -74,6 +74,14 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(17, 3, 0.5, seed=7)
 
+    @pytest.mark.parametrize("n, grid_n, message", [
+        (-3, 4, "n must be non-negative, got -3"),
+        (1, -2, "grid_n must be non-negative, got -2"),
+    ])
+    def test_negative_size_rejected(self, n, grid_n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_instance(n, grid_n, 0.5, seed=0)
+
 
 class TestBlockingGadget:
     def test_exact_coordinates(self):

@@ -12,13 +12,13 @@ from rectmatch.geometry import (
     PointSet,
     classify_intersection,
     empty_pairs,
+    intersection_kinds,
     perturb,
     pierces,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
     IntersectionGraph,
-    PiercingDag,
     RectFamily,
     build_graph,
     corner_elimination,
@@ -30,8 +30,10 @@ from rectmatch.independent_set import (
 )
 
 from naive import (
+    antichain_by_kuhn,
     brute_force_mis,
     classify_exact,
+    dag_from_arcs,
     dump_edges,
     exact_box,
     gpc_subgraph,
@@ -257,6 +259,15 @@ class TestPiercingOrder:
         with pytest.raises(ContractError):
             piercing_order(family(s, [(0, 1), (2, 3)]))
 
+    def test_equal_boxes_rejected(self):
+        # The diagonals of one square span the same box, which no empty
+        # rectangle can; the first such pair is reported.
+        s = ps((0, 0, "B"), (1, 1, "B"), (0, 1, "B"), (1, 0, "B"), (5, 5, "R"), (6, 6, "R"))
+        f = RectFamily(s, tuple(rect_from_pair(s, i, j) for i, j in [(4, 5), (0, 1), (2, 3)]))
+        with pytest.raises(ContractError, match=re.escape(
+                "mutual piercing between (0, 1) and (2, 3)")):
+            piercing_order(f)
+
     def test_random_corner_free_families_pass(self):
         rng = random.Random(5)
         done = 0
@@ -275,15 +286,11 @@ class TestPiercingOrder:
 
 class TestMaxAntichain:
     def test_chain_of_three(self):
-        from rectmatch.independent_set import PiercingDag
-
-        d = PiercingDag(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+        d = dag_from_arcs(3, {(0, 1), (1, 2), (0, 2)})
         assert len(max_antichain(d).members) == 1
 
     def test_antichain_untouched(self):
-        from rectmatch.independent_set import PiercingDag
-
-        d = PiercingDag(4, frozenset())
+        d = dag_from_arcs(4, ())
         assert len(max_antichain(d).members) == 4
 
     def test_augmenting_path_deeper_than_the_recursion_limit(self):
@@ -291,12 +298,10 @@ class TestMaxAntichain:
         # first n left vertices take n+k each; the last one's only augmenting
         # path shifts all of them: n+1 steps, beyond the default recursion
         # limit of 1000.
-        from rectmatch.independent_set import PiercingDag
-
         n = 1100
         arcs = {(k, n + k) for k in range(n)}
         arcs |= {(k, n + k + 1) for k in range(n)} | {(2 * n + 1, n)}
-        d = PiercingDag(2 * n + 2, frozenset(arcs))
+        d = dag_from_arcs(2 * n + 2, arcs)
         assert len(max_antichain(d).members) == n + 1
 
     def test_matches_oracle_on_random_piercing_families(self):
@@ -308,12 +313,23 @@ class TestMaxAntichain:
             if not pairs or len(pairs) > 20:
                 continue
             f = family(s, pairs)
-            kinds = pairwise_kinds(f)
+            kinds = intersection_kinds(f.base, f.rects)
             if any(k not in (K.PIERCING, K.DISJOINT) for k in kinds.values()):
                 continue
             done += 1
             d = piercing_order(f)
             assert len(max_antichain(d).members) == len(brute_force_mis(f).members)
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), unique=True, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_kuhn_reference(self, tuples):
+        """On a random dominance order of distinct integer 4-tuples, ties in
+        each coordinate included, the antichain is the one that the Kuhn
+        reference reads off its own maximum matching."""
+        arcs = {(u, v) for u, a in enumerate(tuples) for v, b in enumerate(tuples)
+                if u != v and all(x <= y for x, y in zip(a, b))}
+        d = dag_from_arcs(len(tuples), arcs)
+        assert max_antichain(d).members == antichain_by_kuhn(d)
 
 
 class TestBruteForceMis:
@@ -460,11 +476,17 @@ def test_rank_classification_equals_exact(pts):
                 f.base, ru.key, rv.key)
 
 
+def non_piercing(kinds):
+    return {p: k for p, k in kinds.items() if k is not K.PIERCING}
+
+
 class TestSparseKinds:
-    """`pairwise_kinds` sweeps rank boxes; it must agree with classifying
+    """`pairwise_kinds` classifies only the pairs that overlap and are not
+    comparable in the dominance order; it must agree with classifying
     every pair one at a time, which agrees with the exact `Fraction`
-    rectangles (`test_rank_classification_equals_exact`), and a restricted
-    family must inherit exactly the kinds it would compute itself."""
+    rectangles (`test_rank_classification_equals_exact`), less the piercing
+    pairs.  A restricted family must inherit exactly the kinds it would
+    compute itself."""
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
            st.booleans(), st.randoms(use_true_random=False))
@@ -472,13 +494,35 @@ class TestSparseKinds:
     def test_equals_dense_classification(self, pts, segments_only, rnd):
         f = all_pairs_family(PointSet.from_tuples(pts), segments_only)
         kinds = pairwise_kinds(f)
-        assert kinds == dense_kinds(f)
+        assert kinds == non_piercing(dense_kinds(f))
         assert list(kinds) == sorted(kinds)
         build_graph(f)  # keeps the kinds on f
         keep = sorted(rnd.sample(range(len(f)), rnd.randrange(len(f) + 1)))
         sub = f.restrict(keep)
         assert build_graph(sub).edges == tuple(
-            (u, v, k) for (u, v), k in pairwise_kinds(sub).items())
+            (u, v, k) for (u, v), k in intersection_kinds(sub.base, sub.rects).items())
+
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_references(self, pts):
+        """On the empty-pair family, and on its corner elimination when it
+        is complete: the kinds are `intersection_kinds` less its piercing
+        pairs, and the piercing order's arcs are those piercing pairs,
+        oriented by `pierces` on the exact boxes."""
+        f = all_empty_family(PointSet.from_tuples(pts))
+        fams = [f, corner_elimination(f)] if verify_complete(f) else [f]
+        for g in fams:
+            kinds = intersection_kinds(g.base, g.rects)
+            assert pairwise_kinds(g) == non_piercing(kinds)
+            if K.CORNER in kinds.values():
+                continue
+            arcs = set()
+            for (u, v), k in kinds.items():
+                if k is K.PIERCING:
+                    a = exact_box(g.base, *g.rects[u].key)
+                    b = exact_box(g.base, *g.rects[v].key)
+                    arcs.add((u, v) if pierces(a, b) else (v, u))
+            assert piercing_order(g).arcs == arcs
 
     def test_missing_pair_means_disjoint(self):
         s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))
@@ -494,14 +538,11 @@ class TestDominanceOrder:
     @settings(max_examples=300, deadline=None)
     def test_piercing_pairs_orient_into_a_strict_order(self, pts):
         f = all_empty_family(PointSet.from_tuples(pts))
-        kinds = pairwise_kinds(f)
         arcs = set()
-        for (u, v), k in kinds.items():
+        for (u, v), k in intersection_kinds(f.base, f.rects).items():
             if k is not K.PIERCING:
                 continue
             a, b = exact_box(f.base, *f.rects[u].key), exact_box(f.base, *f.rects[v].key)
             assert a != b
             arcs.add((u, v) if pierces(a, b) else (v, u))
-        assert order_violation(PiercingDag(len(f), frozenset(arcs))) is None
-        if K.CORNER not in kinds.values():
-            assert piercing_order(f).arcs == arcs
+        assert order_violation(dag_from_arcs(len(f), arcs)) is None

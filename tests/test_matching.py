@@ -526,6 +526,19 @@ class TestReportJson:
         s = ps((0, 0, "R"), (1, 1, "B"), (2, 0, "B"), (4, 4, "R"))
         assert report_to_json(approx_mbrm(s)) == report_to_json(approx_mbrm(s))
 
+    @pytest.mark.parametrize("n, grid, solve, digest", [
+        (400, 1600, approx_mmrm, "6864d4295083f6b4"),
+        (400, 1600, approx_mbrm, "cd2e9e23652f4f1a"),
+        (200, 30, approx_mmrm, "5ef83ec67cca3d4c"),
+        (200, 30, approx_mbrm, "b65eaad54b881a86"),
+    ])
+    def test_pinned_output(self, n, grid, solve, digest):
+        """The approximations' reports on two seeded instances, one sparse
+        and one with many repeated coordinates, are byte for byte those
+        recorded when the chain cover still ran Kuhn's algorithm."""
+        text = report_to_json(solve(gadget_random_instance(n, grid, 0.5, seed=1)))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
 
 @st.composite
 def solver_inputs(draw, side=6, min_size=2, max_size=14):
