@@ -17,7 +17,6 @@ from rectmatch.geometry import (
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
-    is_general_position,
     load_points,
     perturb,
     rect_from_pair,
@@ -32,7 +31,6 @@ from rectmatch.independent_set import (
     forest_two_color,
     max_antichain,
     piercing_order,
-    verify_complete,
 )
 from rectmatch.matching import (
     MatchMode,
@@ -64,11 +62,10 @@ from rectmatch.gadgets import (
 __all__ = [
     "Color", "ColoredPoint", "IntersectionKind", "PointSet", "Rect",
     "candidate_bichromatic", "candidate_monochromatic",
-    "classify_intersection", "is_general_position", "load_points",
-    "perturb", "rect_from_pair",
+    "classify_intersection", "load_points", "perturb", "rect_from_pair",
     "IndependentSet", "IntersectionGraph", "PiercingDag", "RectFamily",
     "build_graph", "corner_elimination", "forest_two_color",
-    "max_antichain", "piercing_order", "verify_complete",
+    "max_antichain", "piercing_order",
     "MatchMode", "Matching", "SolveReport", "approx_mbrm", "approx_mmrm",
     "brute_force_max_matching", "decide_perfect", "half_approx_family",
     "split_families_bi", "split_families_mono", "verify_matching",

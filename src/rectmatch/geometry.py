@@ -6,19 +6,23 @@ by order only, so inside the solver a rectangle is a box of integer ranks:
 each `PointSet` ranks its x and y coordinates once, and a `Rect`'s bounds
 are the ranks of its two defining points' coordinates.  Rectangles are
 *closed* boxes, so a point on the boundary counts as contained.
-`intersection_kinds` classifies a whole family with an x-sweep that visits
-only the pairs whose projections overlap; `classify_intersection` runs the
-same rule on one pair.
+Which boxes of a family overlap is read off bitmasks of its members:
+prefix and suffix masks over each of the four bounds (`_bound_masks`,
+`_dominance`).  `intersection_kinds`, the family stages of
+`independent_set` and the exact oracle's conflict masks all enumerate
+overlaps this way, and `_meet` classifies the pairs;
+`classify_intersection` runs the same rule on one pair.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Coord = Fraction
@@ -27,11 +31,6 @@ Coord = Fraction
 class Color(Enum):
     RED = "R"
     BLUE = "B"
-
-
-class RectKind(Enum):
-    SEGMENT = "segment"
-    BOX = "box"
 
 
 class IntersectionKind(Enum):
@@ -140,12 +139,6 @@ class Rect(NamedTuple):
         """Canonical defining-index pair."""
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
-    @property
-    def kind(self) -> RectKind:
-        """A segment iff the box has zero width or zero height."""
-        flat = self.xmin == self.xmax or self.ymin == self.ymax
-        return RectKind.SEGMENT if flat else RectKind.BOX
-
 
 def _rect(xr: list[int], yr: list[int], i: int, j: int) -> Rect:
     """The rectangle spanned by points i and j, given the x and y ranks of
@@ -193,19 +186,6 @@ class _Grid:
         return k < len(line) and line[k] <= hi
 
 
-def pierces(r1, r2) -> bool:
-    """True iff r2 pierces r1: r1's x-projection contains r2's, and r2's
-    y-projection contains r1's.  Containment is non-strict, so equal
-    projections qualify.  Works on any boxes with `xmin`, `xmax`, `ymin`
-    and `ymax` in one ordered coordinate system."""
-    return (
-        r1.xmin <= r2.xmin
-        and r2.xmax <= r1.xmax
-        and r2.ymin <= r1.ymin
-        and r1.ymax <= r2.ymax
-    )
-
-
 def _strict_corners(r1, r2) -> list:
     """The distinct corners of r2 strictly inside r1."""
     corners = {
@@ -224,7 +204,9 @@ def _meet(r1, r2, grid: _Grid) -> IntersectionKind:
     """The classification rule of `classify_intersection`, on two boxes in
     any ordered coordinates and the grid of the point set in the same
     coordinates.  The boxes are read by position, as (xmin, xmax, ymin,
-    ymax, ...), and the piercing test is `pierces` both ways, inlined."""
+    ymax, ...).  Box 2 pierces box 1 when box 1's x-projection contains
+    box 2's and box 2's y-projection contains box 1's, containment
+    non-strict; the piercing test runs it both ways."""
     ax1, ax2, ay1, ay2 = r1[0], r1[1], r1[2], r1[3]
     bx1, bx2, by1, by2 = r2[0], r2[1], r2[2], r2[3]
     lox = ax1 if ax1 > bx1 else bx1
@@ -281,36 +263,75 @@ def intersection_kinds(
     s: PointSet, rects: Sequence[Rect]
 ) -> dict[tuple[int, int], IntersectionKind]:
     """`classify_intersection` of every intersecting pair (u, v), u < v, of
-    rectangles of s, keys in sorted order; a pair that is absent is disjoint.
-    Only the pairs that `_overlapping` reports are classified."""
-    grid = s._rank_grid
+    rectangles of s, keys in sorted order; a pair that is absent is
+    disjoint.  `_meet` classifies each pair that `_dominance` reports to
+    overlap, piercing pairs included: the all-pairs reference for the
+    family stages, which skip the piercing pairs."""
+    return _classify(s._rank_grid, rects, (m for _, _, _, m in _dominance(rects)))
+
+
+def _classify(
+    grid: _Grid, rects: Sequence[Rect], masks: Iterable[int]
+) -> dict[tuple[int, int], IntersectionKind]:
+    """`_meet` of each pair (u, v) of `rects` such that v > u is a bit of
+    the u-th of `masks`, keys in sorted order; the disjoint pairs are left
+    out."""
     DISJOINT = IntersectionKind.DISJOINT
-    found = []
-    for u, v in _overlapping(rects):
-        kind = _meet(rects[u], rects[v], grid)
-        if kind is not DISJOINT:
-            found.append(((u, v) if u < v else (v, u), kind))
-    found.sort(key=itemgetter(0))
-    return dict(found)
+    out = {}
+    for u, mask in enumerate(masks):
+        ru = rects[u]
+        for k in _bits(mask >> (u + 1)):
+            v = u + 1 + k
+            kind = _meet(ru, rects[v], grid)
+            if kind is not DISJOINT:
+                out[(u, v)] = kind
+    return out
 
 
-def _overlapping(rects: Sequence[Rect]) -> Iterator[tuple[int, int]]:
-    """The index pairs of the boxes of `rects` whose x and y projections both
-    overlap, each pair once and in no set order: the only pairs that `_meet`
-    can find to meet.
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, in ascending order."""
+    digits = bin(mask)[:1:-1]
+    k = digits.find("1")
+    while k >= 0:
+        yield k
+        k = digits.find("1", k + 1)
 
-    A sweep in order of `xmin` pairs each box with the later ones up to the
-    first that starts right of its `xmax`, and skips those whose y-ranges
-    are disjoint.
-    """
-    order = sorted(range(len(rects)), key=lambda u: rects[u][0])
-    starts = [rects[u][0] for u in order]
-    for pos, u in enumerate(order):
-        _, xmax, ymin, ymax, _, _ = rects[u]
-        for v in order[pos + 1:bisect_right(starts, xmax, pos + 1)]:
-            rv = rects[v]
-            if rv[2] <= ymax and rv[3] >= ymin:
-                yield u, v
+
+def _bound_masks(rects: Sequence[Rect]) -> list[tuple[list[int], list[int]]]:
+    """For each bound of the rank boxes `rects`, in the order xmin, xmax,
+    ymin, ymax: per rank r up to the largest bound, the bitmask of the
+    boxes whose bound is at most r and the bitmask of those whose bound is
+    at least r."""
+    size = 1 + max(max(map(itemgetter(b), rects), default=-1) for b in (1, 3))
+    buckets = [[0] * size for _ in range(4)]
+    x1s, x2s, y1s, y2s = buckets
+    bit = 1
+    for x1, x2, y1, y2, _, _ in rects:
+        x1s[x1] |= bit
+        x2s[x2] |= bit
+        y1s[y1] |= bit
+        y2s[y2] |= bit
+        bit <<= 1
+    return [(list(accumulate(b, or_)), list(accumulate(b[::-1], or_))[::-1])
+            for b in buckets]
+
+
+def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
+    """Per rank box u of `rects` in order: u, the bitmask of the boxes that
+    pierce u, that of the boxes that u pierces, and that of the boxes whose
+    projections both overlap u's; each holds u itself.  These are the only
+    pairs that `_meet` can find to meet.
+
+    Piercing is coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin,
+    ymax), so each mask is the intersection of four prefix or suffix masks
+    of `_bound_masks`.  Two boxes pierce one another exactly when they are
+    equal."""
+    (x1le, x1ge), (x2le, x2ge), (y1le, y1ge), (y2le, y2ge) = _bound_masks(rects)
+    for u, (x1, x2, y1, y2, _, _) in enumerate(rects):
+        yield (u,
+               x1ge[x1] & x2le[x2] & y1le[y1] & y2ge[y2],
+               x1le[x1] & x2ge[x2] & y1ge[y1] & y2le[y2],
+               x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1])
 
 
 def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
@@ -406,13 +427,6 @@ def perturb(s: PointSet, n: int) -> PointSet:
         shift = Fraction(int(p.x) + int(p.y), d)
         moved.append(ColoredPoint(p.x + shift, p.y + shift, p.color))
     return PointSet(tuple(moved))
-
-
-def is_general_position(s: PointSet) -> bool:
-    """True iff all x coordinates are distinct and all y coordinates are distinct."""
-    xs = {p.x for p in s}
-    ys = {p.y for p in s}
-    return len(xs) == len(s) and len(ys) == len(s)
 
 
 # ---------------------------------------------------------------------------

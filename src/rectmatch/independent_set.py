@@ -11,30 +11,32 @@ checks these stages is test-side, in `tests/naive.py`.
 
 Piercing is a dominance order on the members' rank boxes, so a family's
 piercing pairs are never listed one by one: bitmasks of the members,
-prefix and suffix masks over each bound of the boxes, give every member
-the members that pierce it, that it pierces and that overlap it.  Only
-the overlapping pairs that are not comparable are classified, and these
-corner, point and side pairs grow about linearly with the family.  They
-are kept on the family, and the sub-families that `RectFamily.restrict`
-makes (the survivors of corner elimination, the chosen antichain) inherit
-them, so the completeness check, corner elimination and the contact graph
-read one structure and nothing is classified twice.  The piercing order
-stays in bitmasks, and the chain cover runs on them.
+prefix and suffix masks over each bound of the boxes
+(`geometry._dominance`), give every member the members that pierce it,
+that it pierces and that overlap it.  Only the overlapping pairs that are
+not comparable are classified, and these corner, point and side pairs grow
+about linearly with the family.  They are kept on the family, and the
+sub-families that `RectFamily.restrict` makes (the survivors of corner
+elimination, the chosen antichain) inherit them, so the completeness
+check, corner elimination and the contact graph read one structure and
+nothing is classified twice.  The piercing order stays in bitmasks, and
+the chain cover runs on them.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from rectmatch.errors import ContractError
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
-    _meet,
+    _bits,
+    _classify,
+    _dominance,
     empty_pairs,
 )
 
@@ -130,93 +132,25 @@ class IndependentSet:
     members: frozenset[int]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of `mask`, in ascending order."""
-    digits = bin(mask)[:1:-1]
-    k = digits.find("1")
-    while k >= 0:
-        yield k
-        k = digits.find("1", k + 1)
-
-
-def _bound_masks(f: RectFamily) -> list[tuple[list[int], list[int]]]:
-    """For each bound of the members' rank boxes, in the order xmin, xmax,
-    ymin, ymax: per rank r of the base, the bitmask of the members whose
-    bound is at most r and the bitmask of those whose bound is at least r."""
-    size = len(f.base)
-    buckets = [[0] * size for _ in range(4)]
-    x1s, x2s, y1s, y2s = buckets
-    bit = 1
-    for x1, x2, y1, y2, _, _ in f.rects:
-        x1s[x1] |= bit
-        x2s[x2] |= bit
-        y1s[y1] |= bit
-        y2s[y2] |= bit
-        bit <<= 1
-    out = []
-    for bucket in buckets:
-        at_most, at_least = [0] * size, [0] * size
-        acc = 0
-        for r in range(size):
-            if bucket[r]:
-                acc |= bucket[r]
-            at_most[r] = acc
-        acc = 0
-        for r in range(size - 1, -1, -1):
-            if bucket[r]:
-                acc |= bucket[r]
-            at_least[r] = acc
-        out.append((at_most, at_least))
-    return out
-
-
-def _dominance(f: RectFamily) -> Iterator[tuple[int, int, int, int]]:
-    """Per member u in order: u, the bitmask of the members that pierce u,
-    that of the members that u pierces, and that of the members whose
-    projections both overlap u's; each holds u itself.
-
-    Piercing is coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin,
-    ymax), so each mask is the intersection of four prefix or suffix masks
-    of `_bound_masks`.  Two members pierce one another exactly when they
-    have equal boxes."""
-    (x1le, x1ge), (x2le, x2ge), (y1le, y1ge), (y2le, y2ge) = _bound_masks(f)
-    for u, (x1, x2, y1, y2, _, _) in enumerate(f.rects):
-        yield (u,
-               x1ge[x1] & x2le[x2] & y1le[y1] & y2ge[y2],
-               x1le[x1] & x2ge[x2] & y1ge[y1] & y2le[y2],
-               x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1])
-
-
 def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
     """The kind of every intersecting pair (u, v), u < v, of members that
     do not pierce one another, keys in sorted order: the corner, point and
     side pairs.  A pair that is absent is disjoint or piercing; the
-    piercing pairs are the comparable pairs of `_dominance`, so only the
-    overlapping pairs that are not comparable are classified, by `_meet`."""
-    rects, grid = f.rects, f.base._rank_grid
-    DISJOINT = IntersectionKind.DISJOINT
-    out = {}
-    for u, above, below, overlap in _dominance(f):
-        rest = (overlap & ~(above | below)) >> (u + 1)
-        if rest:
-            ru = rects[u]
-            for k in _bits(rest):
-                v = u + 1 + k
-                kind = _meet(ru, rects[v], grid)
-                if kind is not DISJOINT:
-                    out[(u, v)] = kind
-    return out
+    piercing pairs are the comparable pairs of `geometry._dominance`, so
+    `_meet` classifies only the overlapping pairs that are not
+    comparable."""
+    return _classify(f.base._rank_grid, f.rects, (
+        overlap & ~(above | below) for _, above, below, overlap in _dominance(f.rects)))
 
 
 def build_graph(f: RectFamily) -> IntersectionGraph:
-    """Every intersecting pair of members with its kind, in sorted order:
-    the piercing pairs from `_dominance`, the others from `pairwise_kinds`."""
-    PIERCING = IntersectionKind.PIERCING
-    edges = [(u, v, kind) for (u, v), kind in f._kinds.items()]
-    for u, above, below, _ in _dominance(f):
-        edges.extend((u, u + 1 + k, PIERCING) for k in _bits((above | below) >> (u + 1)))
-    edges.sort(key=itemgetter(0, 1))
-    return IntersectionGraph(len(f.rects), tuple(edges))
+    """The contact graph of the family: its corner, point and side pairs
+    with their kinds, in sorted order, read from `f._kinds`, which a
+    sub-family made by `restrict` inherits.  The piercing pairs are left
+    out: they form the order of `piercing_order`, and the contact graph is
+    built on an antichain of it, which has none."""
+    return IntersectionGraph(len(f.rects), tuple(
+        (u, v, kind) for (u, v), kind in f._kinds.items()))
 
 
 def _crossing_keys(f: RectFamily, u: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -247,12 +181,6 @@ def complete_witness(f: RectFamily) -> tuple[tuple[int, int], tuple[int, int]] |
                 missing = k1 if k1 not in keys else k2
                 return (u, v), missing
     return None
-
-
-def verify_complete(f: RectFamily) -> bool:
-    """True iff every corner-intersecting pair has both of its crossing
-    rectangles present in the family."""
-    return complete_witness(f) is None
 
 
 def corner_elimination(f: RectFamily) -> RectFamily:
@@ -288,7 +216,7 @@ def corner_elimination(f: RectFamily) -> RectFamily:
 
 def piercing_order(f: RectFamily) -> PiercingDag:
     """The piercing order of a corner-free family: bit v of `above[u]`
-    records that rectangle v pierces rectangle u.  `pierces(u, v)` is
+    records that rectangle v pierces rectangle u.  Piercing is
     coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin, ymax), so
     the order is transitive and acyclic by construction; only equal boxes
     pierce both ways, and distinct empty rectangles never have them.  A
@@ -302,7 +230,7 @@ def piercing_order(f: RectFamily) -> PiercingDag:
                 f"{rects[u].key} / {rects[v].key} has a corner intersection"
             )
     above = []
-    for u, m, below, _ in _dominance(f):
+    for u, m, below, _ in _dominance(rects):
         twins = (m & below) ^ (1 << u)
         if twins:
             v = (twins & -twins).bit_length() - 1

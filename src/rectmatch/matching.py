@@ -18,7 +18,8 @@ The search runs on the candidates' `Rect`s, whose bounds are ranks, and
 decides conflicts with the rule that classifies intersections everywhere
 else (`geometry._meet`).  A search that can choose at most a few dozen
 boxes works out once which candidates meet which, as one bitmask per
-candidate, so a conflict test is one bit test.  A larger one buckets the
+candidate, from the overlaps that the bound masks of `geometry._dominance`
+report, so a conflict test is one bit test.  A larger one buckets the
 chosen boxes by cell of the rank grid, so a conflict test reads only the
 boxes near the query.  The maximum search also prunes with the free points
 that still have a feasible partner; the search stays exponential in the
@@ -40,10 +41,11 @@ from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
+    _classify,
     _color_pairs,
+    _dominance,
     _json_field,
     _meet,
-    _overlapping,
     _rect,
     candidate_bichromatic,
     candidate_monochromatic,
@@ -99,11 +101,11 @@ class SolveReport:
     ratio: Fraction | None = None
 
 
-def oracle_guard(default: int = DEFAULT_ORACLE_GUARD) -> int:
+def oracle_guard() -> int:
     """Oracle point-count guard; the environment variable overrides."""
     value = os.environ.get(ORACLE_GUARD_ENV)
     if value is None:
-        return default
+        return DEFAULT_ORACLE_GUARD
     try:
         return int(value)
     except ValueError:
@@ -286,9 +288,9 @@ class _ChosenMask:
     candidates u and v meet.  Two candidates that share a defining point
     meet, as `_meet` would find: the point lies in both boxes.  So their
     bits come from the points' incidence masks, and `_meet` decides only
-    the pairs that `_overlapping` reports whose bit is not set yet.
-    `append` saves `blocked` before it ORs in the new candidate's mask, so
-    `pop` restores it last in, first out."""
+    the pairs that `geometry._dominance` reports to overlap whose bit is
+    not set yet.  `append` saves `blocked` before it ORs in the new
+    candidate's mask, so `pop` restores it last in, first out."""
 
     __slots__ = ("conf", "blocked", "saved")
 
@@ -298,11 +300,10 @@ class _ChosenMask:
             incident[r.a] |= 1 << k
             incident[r.b] |= 1 << k
         conf = [incident[r.a] | incident[r.b] for r in rects]
-        DISJOINT = IntersectionKind.DISJOINT
-        for u, v in _overlapping(rects):
-            if not conf[u] >> v & 1 and _meet(rects[u], rects[v], grid) is not DISJOINT:
-                conf[u] |= 1 << v
-                conf[v] |= 1 << u
+        unknown = [m & ~conf[u] for u, _, _, m in _dominance(rects)]
+        for u, v in _classify(grid, rects, unknown):
+            conf[u] |= 1 << v
+            conf[v] |= 1 << u
         self.conf = conf
         self.blocked = 0
         self.saved: list[int] = []

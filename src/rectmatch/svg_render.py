@@ -9,13 +9,15 @@ from rectmatch.matching import Matching
 
 _FILL = {Color.RED: "#c0392b", Color.BLUE: "#2962a8"}
 _MIXED = "#7d3c98"
+_WIDTH = 640
 
 
-def render_svg(s: PointSet, matching: Matching | None = None, *, size: int = 640) -> str:
+def render_svg(s: PointSet, matching: Matching | None = None) -> str:
     """An SVG drawing of the points (red/blue dots) and, optionally, the
     rectangles of a matching, stroked in the color of their two defining
     points, or purple when the colors differ.  The y axis is flipped into
-    screen coordinates."""
+    screen coordinates.  A pad surrounds the points on every side, and no
+    dot's radius exceeds it, so every dot lies on the canvas."""
     if len(s) == 0:
         xmin = ymin = Fraction(0)
         xmax = ymax = Fraction(1)
@@ -26,7 +28,7 @@ def render_svg(s: PointSet, matching: Matching | None = None, *, size: int = 640
         ymax = max(p.y for p in s)
     span = max(xmax - xmin, ymax - ymin, Fraction(1))
     pad = span / 20
-    scale = Fraction(size) / (span + 2 * pad)
+    scale = Fraction(_WIDTH) / (span + 2 * pad)
 
     def sx(x) -> float:
         return float((x - xmin + pad) * scale)
@@ -35,13 +37,13 @@ def render_svg(s: PointSet, matching: Matching | None = None, *, size: int = 640
         # screen y grows downward
         return float((ymax - y + pad) * scale)
 
-    height = sy(ymin)
+    height = float((ymax - ymin + 2 * pad) * scale)
     root = ET.Element(
         "svg",
         xmlns="http://www.w3.org/2000/svg",
-        width=str(size),
+        width=str(_WIDTH),
         height=f"{height:.2f}",
-        viewBox=f"0 0 {size} {height:.2f}",
+        viewBox=f"0 0 {_WIDTH} {height:.2f}",
     )
     root.append(ET.Comment(" y axis flipped: screen_y = (ymax - y + pad) * scale "))
     if matching is not None:
@@ -58,7 +60,7 @@ def render_svg(s: PointSet, matching: Matching | None = None, *, size: int = 640
                 height=f"{max(sy(y1) - sy(y2), 1.0):.2f}",
                 fill="none", stroke=stroke, **{"stroke-width": "1.5"},
             )
-    radius = max(2.0, float(scale) * 0.18)
+    radius = min(max(2.0, float(scale) * 0.18), float(pad * scale))
     for p in s:
         ET.SubElement(
             root, "circle",

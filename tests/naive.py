@@ -14,6 +14,7 @@ from rectmatch.geometry import (
     _Grid,
     _meet,
     classify_intersection,
+    intersection_kinds,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
@@ -36,6 +37,26 @@ class ExactBox(NamedTuple):
 def exact_box(s: PointSet, i: int, j: int) -> ExactBox:
     p, q = s[i], s[j]
     return ExactBox(min(p.x, q.x), max(p.x, q.x), min(p.y, q.y), max(p.y, q.y))
+
+
+def pierces(r1, r2) -> bool:
+    """True iff r2 pierces r1: r1's x-projection contains r2's, and r2's
+    y-projection contains r1's.  Containment is non-strict, so equal
+    projections qualify.  Works on any boxes with `xmin`, `xmax`, `ymin`
+    and `ymax` in one ordered coordinate system."""
+    return (
+        r1.xmin <= r2.xmin
+        and r2.xmax <= r1.xmax
+        and r2.ymin <= r1.ymin
+        and r1.ymax <= r2.ymax
+    )
+
+
+def is_general_position(s: PointSet) -> bool:
+    """True iff all x coordinates are distinct and all y coordinates are distinct."""
+    xs = {p.x for p in s}
+    ys = {p.y for p in s}
+    return len(xs) == len(s) and len(ys) == len(s)
 
 
 def exact_grid(s: PointSet) -> _Grid:
@@ -113,6 +134,17 @@ def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:
         if e[2] in (IntersectionKind.PIERCING, IntersectionKind.CORNER)
     )
     return IntersectionGraph(g.n, kept)
+
+
+def gpc_alpha(f: RectFamily) -> tuple[int, int]:
+    """The independence number of f's piercing+corner conflict graph, whose
+    edges are the piercing and corner pairs of `intersection_kinds`, and
+    the number of its piercing edges."""
+    kinds = intersection_kinds(f.base, f.rects)
+    g = gpc_subgraph(IntersectionGraph(len(f.rects), tuple(
+        (u, v, k) for (u, v), k in kinds.items())))
+    alpha = len(mis_of_graph(g.n, [(u, v) for u, v, _ in g.edges]).members)
+    return alpha, sum(k is IntersectionKind.PIERCING for _, _, k in g.edges)
 
 
 def dump_edges(g: IntersectionGraph) -> str:

@@ -1,9 +1,12 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from rectmatch.cli import main
-from rectmatch.geometry import load_points
+from rectmatch.geometry import PointSet, load_points
+from rectmatch.svg_render import render_svg
 
 
 def run(capsys, *argv):
@@ -271,6 +274,30 @@ class TestRender:
         assert code == 0
         assert "rect" in out.read_text()
 
+    @pytest.mark.parametrize("triples", [
+        [(0, 0, "R")],
+        [(x, 3, "B") for x in range(5)],
+        [(Fraction(1, 3), y, "R") for y in range(4)],
+        [(0, 0, "B"), (10, 10, "R")],
+        [(x, y, "RB"[x % 2]) for x, y in zip(random.Random(3).sample(range(50), 30),
+                                             random.Random(4).sample(range(50), 30))],
+    ], ids=["one-point", "row", "column", "diagonal", "random"])
+    def test_every_dot_inside_the_view_box(self, triples):
+        """A pad surrounds the points on every side, and no dot is wider
+        than the pad, so each `<circle>` lies inside the `viewBox`, the
+        lowest and the highest row included.  The attributes are written
+        to two decimals, so each may be off by half a hundredth."""
+        import xml.etree.ElementTree as ET
+
+        root = ET.fromstring(render_svg(PointSet.from_tuples(triples)))
+        _, _, width, height = map(float, root.get("viewBox").split())
+        circles = root.findall("{http://www.w3.org/2000/svg}circle")
+        assert len(circles) == len(triples)
+        for c in circles:
+            cx, cy, r = (float(c.get(k)) for k in ("cx", "cy", "r"))
+            assert -0.01 <= cx - r and cx + r <= width + 0.01
+            assert -0.01 <= cy - r and cy + r <= height + 0.01
+
     def test_rects_drawn_at_exact_coordinates(self, tmp_path, capsys):
         """Rational points with a red-red, a mixed and a blue-blue segment
         rectangle: each `<rect>` sits at its two points' exact coordinates,
@@ -288,7 +315,7 @@ class TestRender:
         text = out.read_text()
         assert text.startswith(
             '<svg xmlns="http://www.w3.org/2000/svg" width="640" '
-            'height="494.55" viewBox="0 0 640 494.55">')
+            'height="523.64" viewBox="0 0 640 523.64">')
         rects = [line.split(" />")[0] for line in text.split("<rect ")[1:]]
         assert rects == [
             'x="29.09" y="203.64" width="174.55" height="290.91" fill="none" '

@@ -10,7 +10,6 @@ from rectmatch.geometry import (
     candidate_monochromatic,
     dump_points,
     empty_pairs,
-    is_general_position,
     perturb,
 )
 from rectmatch.matching import (
@@ -41,6 +40,8 @@ from rectmatch.gadgets import (
     variable_gadget,
     variable_matching_pairs,
 )
+
+from naive import is_general_position
 
 BIG = 10 ** 7
 

@@ -14,19 +14,18 @@ from rectmatch.geometry import (
     empty_pairs,
     intersection_kinds,
     perturb,
-    pierces,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
     IntersectionGraph,
     RectFamily,
     build_graph,
+    complete_witness,
     corner_elimination,
     forest_two_color,
     max_antichain,
     pairwise_kinds,
     piercing_order,
-    verify_complete,
 )
 
 from naive import (
@@ -36,9 +35,10 @@ from naive import (
     dag_from_arcs,
     dump_edges,
     exact_box,
+    gpc_alpha,
     gpc_subgraph,
-    mis_of_graph,
     order_violation,
+    pierces,
 )
 
 K = IntersectionKind
@@ -129,10 +129,12 @@ class TestBuildGraph:
         assert build_graph(f).edges == ()
 
     def test_piercing_edge(self):
+        """A piercing pair is no contact: the contact graph leaves it out,
+        and only `intersection_kinds` lists it."""
         s = ps((0, 1, "B"), (5, 3, "B"), (2, 0, "B"), (3, 4, "B"))
         f = family(s, [(0, 1), (2, 3)])
-        g = build_graph(f)
-        assert g.edges == ((0, 1, K.PIERCING),)
+        assert build_graph(f).edges == ()
+        assert intersection_kinds(s, f.rects) == {(0, 1): K.PIERCING}
 
     def test_pairwise_disjoint_family_mis(self):
         s = ps(*[(4 * i, 4 * i + 1, "B") for i in range(4)],
@@ -143,9 +145,13 @@ class TestBuildGraph:
         assert len(brute_force_mis(f).members) == 4
 
     def test_dump_edges(self):
-        s = ps((0, 1, "B"), (5, 3, "B"), (2, 0, "B"), (3, 4, "B"))
-        g = build_graph(family(s, [(0, 1), (2, 3)]))
-        assert dump_edges(g) == "0 1 PIERCING\n"
+        # Two boxes meeting at their shared defining point; then a corner
+        # pair with both of its crossings, where every other pair pierces.
+        s = ps((0, 0, "B"), (2, 2, "B"), (4, 4, "B"))
+        g = build_graph(family(s, [(0, 1), (1, 2)]))
+        assert dump_edges(g) == "0 1 POINT\n"
+        g = build_graph(family(ps(*CROSS_POINTS), CROSS_PAIRS))
+        assert dump_edges(g) == "0 1 CORNER\n"
 
 
 class TestGpcSubgraph:
@@ -164,16 +170,16 @@ class TestGpcSubgraph:
 class TestVerifyComplete:
     def test_no_corner_pairs_vacuous(self):
         s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))
-        assert verify_complete(family(s, [(0, 1), (2, 3)]))
+        assert complete_witness(family(s, [(0, 1), (2, 3)])) is None
 
     def test_crossing_configuration(self):
         s = ps(*CROSS_POINTS)
-        assert verify_complete(family(s, CROSS_PAIRS))
+        assert complete_witness(family(s, CROSS_PAIRS)) is None
 
     def test_missing_crossing_detected(self):
         s = ps(*CROSS_POINTS)
-        assert not verify_complete(family(s, CROSS_PAIRS[:3]))
-        assert not verify_complete(family(s, [(0, 1), (2, 3)]))
+        assert complete_witness(family(s, CROSS_PAIRS[:3])) is not None
+        assert complete_witness(family(s, [(0, 1), (2, 3)])) is not None
 
 
 class TestCornerElimination:
@@ -194,11 +200,11 @@ class TestCornerElimination:
         assert not any(
             k is K.CORNER for k in pairwise_kinds(out).values()
         )
-        assert _gpc_alpha(out) == _gpc_alpha(f)
+        assert gpc_alpha(out)[0] == gpc_alpha(f)[0]
 
     def test_random_complete_families_alpha_preserved(self):
         rng = random.Random(11)
-        done = 0
+        done = piercing = 0
         while done < 30:
             s = random_points(rng, rng.randrange(5, 9), 8)
             pairs = empty_pairs(s)
@@ -209,13 +215,16 @@ class TestCornerElimination:
             if f is None or len(f) > 18:
                 continue
             done += 1
-            before = _gpc_alpha(f)
+            before, arcs = gpc_alpha(f)
+            piercing += arcs > 0
             steps = _replay_drops(f)
             for step_fam in steps:
-                assert _gpc_alpha(step_fam) == before
+                assert gpc_alpha(step_fam)[0] == before
             out = corner_elimination(f)
-            assert _gpc_alpha(out) == before
+            assert gpc_alpha(out)[0] == before
             assert steps[-1].keys() == out.keys()
+        # The conflict graphs checked hold piercing edges, not only corners.
+        assert piercing > 0
 
 
 def _replay_drops(f):
@@ -235,11 +244,6 @@ def _replay_drops(f):
             steps.append(RectFamily(f.base, tuple(
                 r for r in f.rects if r.key in alive)))
     return steps
-
-
-def _gpc_alpha(f):
-    g = gpc_subgraph(build_graph(f))
-    return len(mis_of_graph(g.n, [(u, v) for u, v, _ in g.edges]).members)
 
 
 class TestPiercingOrder:
@@ -493,14 +497,17 @@ class TestSparseKinds:
     @settings(max_examples=200, deadline=None)
     def test_equals_dense_classification(self, pts, segments_only, rnd):
         f = all_pairs_family(PointSet.from_tuples(pts), segments_only)
+        dense = dense_kinds(f)
+        assert intersection_kinds(f.base, f.rects) == dense
         kinds = pairwise_kinds(f)
-        assert kinds == non_piercing(dense_kinds(f))
+        assert kinds == non_piercing(dense)
         assert list(kinds) == sorted(kinds)
         build_graph(f)  # keeps the kinds on f
         keep = sorted(rnd.sample(range(len(f)), rnd.randrange(len(f) + 1)))
         sub = f.restrict(keep)
         assert build_graph(sub).edges == tuple(
-            (u, v, k) for (u, v), k in intersection_kinds(sub.base, sub.rects).items())
+            (u, v, k) for (u, v), k in
+            non_piercing(intersection_kinds(sub.base, sub.rects)).items())
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
     @settings(max_examples=300, deadline=None)
@@ -510,7 +517,7 @@ class TestSparseKinds:
         pairs, and the piercing order's arcs are those piercing pairs,
         oriented by `pierces` on the exact boxes."""
         f = all_empty_family(PointSet.from_tuples(pts))
-        fams = [f, corner_elimination(f)] if verify_complete(f) else [f]
+        fams = [f, corner_elimination(f)] if complete_witness(f) is None else [f]
         for g in fams:
             kinds = intersection_kinds(g.base, g.rects)
             assert pairwise_kinds(g) == non_piercing(kinds)

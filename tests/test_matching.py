@@ -26,14 +26,14 @@ from rectmatch.geometry import (
     candidate_monochromatic,
     classify_intersection,
     empty_pairs,
+    intersection_kinds,
     perturb,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
     RectFamily,
-    build_graph,
+    complete_witness,
     pairwise_kinds,
-    verify_complete,
 )
 from rectmatch.matching import (
     MatchMode,
@@ -137,7 +137,7 @@ class TestFamilyStructure:
             s = random_instance(rng, rng.randrange(4, 11), grid=10)
             f = RectFamily(s, tuple(candidate_monochromatic(s)))
             for fam in split_families_mono(f):
-                assert verify_complete(fam)
+                assert complete_witness(fam) is None
                 for (u, v), k in pairwise_kinds(fam).items():
                     cu, cv = s[fam.rects[u].a].color, s[fam.rects[v].a].color
                     if cu is not cv and k is not K.DISJOINT:
@@ -151,7 +151,7 @@ class TestFamilyStructure:
             s = random_instance(rng, rng.randrange(4, 11), grid=10)
             f = RectFamily(s, tuple(candidate_bichromatic(s)))
             for fam in split_families_bi(f):
-                assert verify_complete(fam)
+                assert complete_witness(fam) is None
                 for k in pairwise_kinds(fam).values():
                     assert k in (K.DISJOINT, K.PIERCING, K.CORNER)
 
@@ -193,8 +193,7 @@ class TestHalfApprox:
             for fam in split_families_mono(f):
                 ind = half_approx_family(fam)
                 members = sorted(ind.members)
-                sub = RectFamily(s, tuple(fam.rects[i] for i in members))
-                assert build_graph(sub).edges == ()
+                assert intersection_kinds(s, [fam.rects[i] for i in members]) == {}
 
 
 class TestApproxMmrm:
