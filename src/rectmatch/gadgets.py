@@ -16,6 +16,8 @@ cluster that replaces each blocker (the 12-point blocking gadget, or an
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -304,20 +306,31 @@ def build_gadget(
 ) -> GadgetInstance:
     """Apply the red fill to a blue layout and normalize to the grid
     [0..N]^2, shifting by multiples of 4 so blue coordinates stay congruent
-    to 0 mod 4.  Blues keep their indices and come first."""
+    to 0 mod 4.  Blues keep their indices and come first.  The first
+    designated segment that is not axis-aligned or holds a blue besides its
+    ends raises a ValueError naming it and the least such blue."""
     segments = tuple(
         (i, j) if i < j else (j, i) for i, j in segments
     )
+    # Each row and column of blues, as sorted (coordinate along it, index).
+    rows, cols = {}, {}
+    for k, (x, y) in enumerate(blues):
+        rows.setdefault(y, []).append((x, k))
+        cols.setdefault(x, []).append((y, k))
+    for line in (*rows.values(), *cols.values()):
+        line.sort()
     for i, j in segments:
-        (x1, y1), (x2, y2) = blues[i], blues[j]
+        (x1, y1), (x2, y2) = sorted((blues[i], blues[j]))
         if x1 != x2 and y1 != y2:
             raise ValueError(f"designated segment {(i, j)} is not axis-aligned")
-        for k, (xk, yk) in enumerate(blues):
-            if k not in (i, j) and min(x1, x2) <= xk <= max(x1, x2) \
-                    and min(y1, y2) <= yk <= max(y1, y2):
-                raise ValueError(
-                    f"designated segment {(i, j)} passes through blue point {k}"
-                )
+        line, lo, hi = (rows[y1], x1, x2) if y1 == y2 else (cols[x1], y1, y2)
+        on = [k for _, k in line[bisect_left(line, (lo, -1)):
+                                 bisect_right(line, (hi, len(blues)))]
+              if k != i and k != j]
+        if on:
+            raise ValueError(
+                f"designated segment {(i, j)} passes through blue point {min(on)}"
+            )
     blues4, reds4 = red_fill(blues, segments)
     all_pts = list(blues4) + list(reds4)
     if all_pts:
@@ -387,9 +400,6 @@ class Formula:
             if c.side not in ("above", "below"):
                 raise ValueError(f"bad side {c.side!r}")
 
-    def degree(self, var: str) -> int:
-        return sum(1 for c in self.clauses for lit in c.literals if lit.var == var)
-
 
 def formula_from_dict(d: dict) -> Formula:
     """Read a formula from its JSON form; a missing key or a value of the
@@ -445,11 +455,9 @@ def one_in_three_satisfiable(f: Formula) -> bool:
 
 @dataclass(frozen=True)
 class CombLayout:
-    """Nesting certificate: for each side, clause indices with their variable
-    spans, verified pairwise non-crossing, plus nesting levels and the
-    per-variable left-to-right leg order."""
+    """How the combs are drawn: each clause's nesting level, and for each
+    (variable, side) the clauses whose legs land there, left to right."""
 
-    spans: dict
     levels: dict
     slot_order: dict
 
@@ -457,85 +465,60 @@ class CombLayout:
 def build_layout(f: Formula) -> CombLayout:
     """Derive and validate the comb layout for a formula.
 
-    Same-side clause spans must be disjoint, share at most an endpoint
-    variable, or nest properly with no outer anchor strictly inside the
-    inner span; anything else is a crossing and is rejected.
+    Same-side clause spans (leftmost to rightmost variable) must be
+    disjoint, share only an endpoint variable, or nest properly with no leg
+    of the outer clause strictly inside the inner span; anything else is a
+    crossing, and a ValueError names two clauses that cross.  A clause's
+    level is one more than the highest level nested inside it, 0 if none.
+
+    Nested spans are well-parenthesised, so one stack pass per side, over
+    the spans by (left end, -right end), does the check and finds each
+    clause's parent: the span still open once those ending by its left end
+    close.  Every span around it is on the stack, so checking the parent
+    alone suffices, and only the parent's middle leg can be inside.
     """
     order = {v: k for k, v in enumerate(f.variables)}
-    spans = {}
-    for ci, c in enumerate(f.clauses):
-        idxs = sorted(order[l.var] for l in c.literals)
-        spans[ci] = (idxs[0], idxs[-1])
-    by_side: dict[str, list[int]] = {"above": [], "below": []}
-    for ci, c in enumerate(f.clauses):
-        by_side[c.side].append(ci)
+    legs = [sorted(order[lit.var] for lit in c.literals) for c in f.clauses]
+    parent = {}
+    levels = dict.fromkeys(range(len(f.clauses)), 0)
+    for side in ("above", "below"):
+        visit = sorted((ci for ci, c in enumerate(f.clauses) if c.side == side),
+                       key=lambda ci: (legs[ci][0], -legs[ci][2]))
+        stack: list[int] = []
+        for ci in visit:
+            left, _, right = legs[ci]
+            while stack and legs[stack[-1]][2] <= left:
+                stack.pop()
+            if stack:
+                outer = stack[-1]
+                if legs[outer][2] < right:
+                    raise ValueError(f"clauses {min(outer, ci)} and "
+                                     f"{max(outer, ci)} cross on side {side!r}")
+                if left < legs[outer][1] < right:
+                    raise ValueError(
+                        f"clauses {outer} and {ci} cross: leg of clause "
+                        f"{outer} lands strictly inside the nested span"
+                    )
+                parent[ci] = outer
+            stack.append(ci)
+        # A clause is visited after its parent, so walking the visit order
+        # backwards sets each level before it is passed up.
+        for ci in reversed(visit):
+            if ci in parent:
+                levels[parent[ci]] = max(levels[parent[ci]], levels[ci] + 1)
 
-    for side, cis in by_side.items():
-        for a_pos in range(len(cis)):
-            for b_pos in range(a_pos + 1, len(cis)):
-                ca, cb = cis[a_pos], cis[b_pos]
-                (l1, r1), (l2, r2) = spans[ca], spans[cb]
-                lo, hi = max(l1, l2), min(r1, r2)
-                if lo > hi:
-                    continue                      # disjoint
-                if (l1 <= l2 and r2 <= r1) or (l2 <= l1 and r1 <= r2):
-                    inner, outer = (cb, ca) if (l1 <= l2 and r2 <= r1) else (ca, cb)
-                    li, ri = spans[inner]
-                    outer_anchor_vars = {
-                        order[l.var] for l in f.clauses[outer].literals
-                    }
-                    inside = [v for v in outer_anchor_vars if li < v < ri]
-                    if inside:
-                        raise ValueError(
-                            f"clauses {outer} and {inner} cross: leg of clause "
-                            f"{outer} lands strictly inside the nested span"
-                        )
-                    continue                      # proper nesting
-                if lo == hi:
-                    continue                      # side by side at one variable
-                raise ValueError(f"clauses {ca} and {cb} cross on side {side!r}")
-
-    # A clause's level is one more than the highest level nested inside it,
-    # 0 if none.  A nested span is strictly narrower than the span around it,
-    # so visiting spans by width sets every inner level before it is read.
-    levels = {}
-    for ci in sorted(spans, key=lambda ci: spans[ci][1] - spans[ci][0]):
-        l, r = spans[ci]
-        levels[ci] = 1 + max((
-            levels[cj] for cj in by_side[f.clauses[ci].side]
-            if l <= spans[cj][0] and spans[cj][1] <= r
-            and spans[cj] != spans[ci]
-        ), default=-1)
-
-    # Left-to-right leg order on each (variable, side): right-ending combs
-    # innermost first, then the (unique) spanning comb, then left-ending
-    # combs outermost first.
-    incident_to: dict[tuple[str, str], list[int]] = {}
+    # Left-to-right leg order on each (variable, side): the combs ending
+    # there, innermost first; the one passing through (nesting admits at
+    # most one); the combs starting there, outermost first.
+    slot_order = {(v, side): [] for v in f.variables for side in ("above", "below")}
     for ci, c in enumerate(f.clauses):
-        for l in c.literals:
-            incident_to.setdefault((l.var, c.side), []).append(ci)
-    slot_order: dict[tuple[str, str], list[int]] = {}
-    for v, vi in order.items():
-        for side in ("above", "below"):
-            incident = incident_to.get((v, side), [])
-            right_enders = sorted(
-                (ci for ci in incident if spans[ci][1] == vi and spans[ci][0] != vi),
-                key=lambda ci: -spans[ci][0],
-            )
-            middles = [
-                ci for ci in incident if spans[ci][0] < vi < spans[ci][1]
-            ]
-            left_enders = sorted(
-                (ci for ci in incident if spans[ci][0] == vi),
-                key=lambda ci: -spans[ci][1],
-            )
-            if len(middles) > 1:
-                raise ValueError(
-                    f"clauses {middles} both pass through variable {v!r} on "
-                    f"side {side!r}; the layout cannot be drawn"
-                )
-            slot_order[(v, side)] = right_enders + middles + left_enders
-    return CombLayout(spans, levels, slot_order)
+        for lit in c.literals:
+            slot_order[(lit.var, c.side)].append(ci)
+    for (v, _), cis in slot_order.items():
+        vi = order[v]
+        cis.sort(key=lambda ci: (0, -legs[ci][0]) if legs[ci][2] == vi
+                 else (2, -legs[ci][2]) if legs[ci][0] == vi else (1, 0))
+    return CombLayout(levels, slot_order)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +527,14 @@ def build_layout(f: Formula) -> CombLayout:
 VARIABLE_GAP = 6
 
 
-def compile_planar_1in3(f: Formula, layout: CombLayout | None = None) -> GadgetInstance:
+def compile_planar_1in3(f: Formula) -> GadgetInstance:
     """Compile a formula into a two-colored instance whose perfect
-    monochromatic matchings correspond to accepting assignments."""
-    if layout is None:
-        layout = build_layout(f)
-    degrees = {v: max(1, f.degree(v)) for v in f.variables}
+    monochromatic matchings correspond to accepting assignments.  The combs
+    go where `build_layout` puts them, which rejects a crossing layout."""
+    layout = build_layout(f)
+    order = {v: k for k, v in enumerate(f.variables)}
+    uses = Counter(lit.var for c in f.clauses for lit in c.literals)
+    degrees = {v: max(1, uses[v]) for v in f.variables}
     x_offsets = {}
     x = 0
     for v in f.variables:
@@ -598,7 +583,6 @@ def compile_planar_1in3(f: Formula, layout: CombLayout | None = None) -> GadgetI
 
     clause_meta = []
     for ci, c in enumerate(f.clauses):
-        order = {v: k for k, v in enumerate(f.variables)}
         lits = sorted(c.literals, key=lambda l: order[l.var])
         anchors = [anchor_of[(ci, l.var)] for l in lits]
         pts, segs = clause_gadget(anchors, level=layout.levels[ci])

@@ -117,15 +117,6 @@ def oracle_guard() -> int:
 # ---------------------------------------------------------------------------
 # Family splits
 
-def _defining_at(s: PointSet, r: Rect, x: int, y: int) -> Color | None:
-    """Color of a defining point of r at rank position (x, y), if any."""
-    xr, yr = s._ranks
-    for idx in (r.a, r.b):
-        if xr[idx] == x and yr[idx] == y:
-            return s[idx].color
-    return None
-
-
 # The corner families as sets of (corner, color): a rectangle joins every
 # family that holds the color of one of its bottom corners' defining points.
 _BL, _BR = 0, 1
@@ -139,17 +130,21 @@ _BI_FAMILIES = (
 
 
 def _split(f: RectFamily, families) -> tuple[RectFamily, ...]:
-    """One family per entry of `families`, each in the order of `f.rects`."""
-    out: tuple[list[Rect], ...] = tuple([] for _ in families)
-    for r in f.rects:
+    """One family per entry of `families`, each in the order of `f.rects`.
+    A defining point on a rectangle's bottom rank is in its bottom-left
+    corner if on its left rank, and bottom-right if on its right rank."""
+    xr, yr = f.base._ranks
+    out: tuple[list[int], ...] = tuple([] for _ in families)
+    for k, r in enumerate(f.rects):
         corners = {
-            (_BL, _defining_at(f.base, r, r.xmin, r.ymin)),
-            (_BR, _defining_at(f.base, r, r.xmax, r.ymin)),
+            (corner, f.base[idx].color)
+            for idx in (r.a, r.b) if yr[idx] == r.ymin
+            for corner, x in ((_BL, r.xmin), (_BR, r.xmax)) if xr[idx] == x
         }
-        for rs, family in zip(out, families):
+        for indices, family in zip(out, families):
             if corners & family:
-                rs.append(r)
-    return tuple(RectFamily(f.base, tuple(rs)) for rs in out)
+                indices.append(k)
+    return tuple(f.restrict(indices) for indices in out)
 
 
 def split_families_mono(f: RectFamily) -> tuple[RectFamily, ...]:

@@ -1,13 +1,15 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the points' exact `Fraction` coordinates, except `conflicts_naive`,
-which checks the oracle's containers of chosen rank boxes, and
-`antichain_by_kuhn`, which checks `max_antichain` on a given order."""
+work on the points' exact `Fraction` coordinates, except these three:
+`conflicts_naive` checks the oracle's containers of chosen rank boxes,
+`antichain_by_kuhn` checks `max_antichain` on a given order, and
+`layout_naive` checks `build_layout` one clause pair at a time."""
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
 from rectmatch.errors import ContractError, GuardError
+from rectmatch.gadgets import Formula
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
@@ -325,3 +327,61 @@ def brute_force_mis(
             if u < v and (u, v) in conflict_set:
                 raise ContractError(f"oracle output not independent: {u}, {v}")
     return result
+
+
+def comb_conflict(f: Formula, ca: int, cb: int) -> bool:
+    """The pairwise layout rule: True iff the combs of two clauses on one
+    side cannot both be drawn.  They can when their variable spans are
+    disjoint, share one endpoint variable without nesting, or nest with no
+    leg of the outer clause strictly inside the inner span.  Equal spans
+    nest both ways, so each has its middle leg inside the other."""
+    order = {v: k for k, v in enumerate(f.variables)}
+    legs = {ci: {order[lit.var] for lit in f.clauses[ci].literals} for ci in (ca, cb)}
+    (l1, r1), (l2, r2) = ((min(legs[ci]), max(legs[ci])) for ci in (ca, cb))
+    if l1 <= l2 and r2 <= r1 or l2 <= l1 and r1 <= r2:
+        outer, (li, ri) = (ca, (l2, r2)) if l1 <= l2 and r2 <= r1 else (cb, (l1, r1))
+        return any(li < v < ri for v in legs[outer])
+    return max(l1, l2) < min(r1, r2)
+
+
+def layout_naive(f: Formula) -> tuple[dict, dict]:
+    """`build_layout`'s levels and slot order by the pairwise rule.  Raises
+    ValueError at the first same-side pair, in clause order and above
+    first, for which `comb_conflict` holds.  A clause's level is one more
+    than the highest level of a same-side span strictly inside its own,
+    found by visiting the spans by width."""
+    order = {v: k for k, v in enumerate(f.variables)}
+    spans = {}
+    for ci, c in enumerate(f.clauses):
+        idxs = sorted(order[lit.var] for lit in c.literals)
+        spans[ci] = (idxs[0], idxs[-1])
+    by_side = {side: [ci for ci, c in enumerate(f.clauses) if c.side == side]
+               for side in ("above", "below")}
+    for side, cis in by_side.items():
+        for a_pos, ca in enumerate(cis):
+            for cb in cis[a_pos + 1:]:
+                if comb_conflict(f, ca, cb):
+                    raise ValueError(f"clauses {ca} and {cb} cross on side {side!r}")
+    levels = {}
+    for ci in sorted(spans, key=lambda ci: spans[ci][1] - spans[ci][0]):
+        l, r = spans[ci]
+        levels[ci] = 1 + max((
+            levels[cj] for cj in by_side[f.clauses[ci].side]
+            if l <= spans[cj][0] and spans[cj][1] <= r and spans[cj] != spans[ci]
+        ), default=-1)
+    slot_order = {}
+    for v, vi in order.items():
+        for side in ("above", "below"):
+            incident = [ci for ci in by_side[side]
+                        if any(lit.var == v for lit in f.clauses[ci].literals)]
+            right_enders = sorted(
+                (ci for ci in incident if spans[ci][1] == vi),
+                key=lambda ci: -spans[ci][0])
+            middles = [ci for ci in incident if spans[ci][0] < vi < spans[ci][1]]
+            left_enders = sorted(
+                (ci for ci in incident if spans[ci][0] == vi),
+                key=lambda ci: -spans[ci][1])
+            if len(middles) > 1:
+                raise ValueError(f"clauses {middles} both pass through {v!r}")
+            slot_order[(v, side)] = right_enders + middles + left_enders
+    return levels, slot_order

@@ -1,7 +1,10 @@
 import hashlib
+import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectmatch.errors import ContractError
 from rectmatch.geometry import (
@@ -41,7 +44,7 @@ from rectmatch.gadgets import (
     variable_matching_pairs,
 )
 
-from naive import is_general_position
+from naive import comb_conflict, is_general_position, layout_naive
 
 BIG = 10 ** 7
 
@@ -198,6 +201,23 @@ class TestRedFill:
         g = self.fill_variable()
         reds = PointSet(tuple(p for p in g.points if p.color is Color.RED))
         assert decide_perfect(reds, MatchMode.MONO, max_points=BIG)
+
+    @pytest.mark.parametrize("blues, segments, message", [
+        ([(0, 0), (2, 2)], [(0, 1)],
+         "designated segment (0, 1) is not axis-aligned"),
+        # Two segments break the rule: the first one in order is named, and
+        # of the blues on it the least index, not the first along it.
+        ([(0, 0), (4, 0), (3, 0), (1, 0), (0, 2), (5, 7)], [(1, 0), (4, 5)],
+         "designated segment (0, 1) passes through blue point 2"),
+        ([(0, 0), (0, 4), (5, 5), (0, 4)], [(0, 1)],
+         "designated segment (0, 1) passes through blue point 3"),
+        ([(0, 4), (0, 0), (0, 0)], [(0, 1)],
+         "designated segment (0, 1) passes through blue point 2"),
+    ], ids=["diagonal", "blue-inside", "duplicate-high-end", "duplicate-low-end"])
+    def test_bad_segment_rejected(self, blues, segments, message):
+        with pytest.raises(ValueError) as excinfo:
+            build_gadget(blues, segments, {})
+        assert str(excinfo.value) == message
 
     def test_non_integer_rejected(self):
         from fractions import Fraction
@@ -511,6 +531,38 @@ class TestLayoutValidation:
         ))
         layout = build_layout(f)
         assert layout.levels == {i: k - 1 - i for i in range(k)}
+
+
+@st.composite
+def small_formulas(draw):
+    """3-10 variables and 1-5 clauses on random sides with random signs."""
+    names = [f"v{i}" for i in range(draw(st.integers(3, 10)))]
+    triple = st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True)
+    clauses = draw(st.lists(st.tuples(
+        triple, st.lists(st.booleans(), min_size=3, max_size=3),
+        st.sampled_from(["above", "below"]),
+    ), min_size=1, max_size=5))
+    return formula(names, *((list(zip(vs, negs)), side) for vs, negs, side in clauses))
+
+
+@given(small_formulas())
+@settings(max_examples=400, deadline=None)
+def test_layout_equals_the_pairwise_rule(f):
+    # The pairwise rule may meet a different conflicting pair first, so a
+    # rejection is checked by the pair it names, not by its message.
+    try:
+        expected = layout_naive(f)
+    except ValueError:
+        expected = None
+    try:
+        layout = build_layout(f)
+    except ValueError as e:
+        assert expected is None
+        a, b = map(int, re.match(r"clauses (\d+) and (\d+) cross", str(e)).groups())
+        assert f.clauses[a].side == f.clauses[b].side
+        assert comb_conflict(f, a, b)
+    else:
+        assert (layout.levels, layout.slot_order) == expected
 
 
 def _recolor_inputs():
