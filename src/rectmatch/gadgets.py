@@ -65,19 +65,11 @@ _BLOCKER_OUTER = ((0, 0), (5, 0), (5, 5), (0, 5))
 _BLOCKER_INNER = ((1, 3), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2))
 
 
-def blocking_gadget(
-    origin: tuple = (0, 0), scale=1, color: Color = Color.BLUE
-) -> PointSet:
-    """The 12-point blocker, scaled then translated, all one color."""
-    s = Fraction(scale)
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    ox, oy = Fraction(origin[0]), Fraction(origin[1])
-    pts = [
-        ColoredPoint(ox + s * x, oy + s * y, color)
-        for x, y in _BLOCKER_OUTER + _BLOCKER_INNER
-    ]
-    return PointSet(tuple(pts))
+def blocking_gadget() -> PointSet:
+    """The 12-point blocker, all blue: the four outer points first, then the
+    eight inner ones.  The recolorings shrink and move copies of it."""
+    return PointSet.from_tuples(
+        (x, y, Color.BLUE) for x, y in _BLOCKER_OUTER + _BLOCKER_INNER)
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +106,6 @@ def variable_matching_pairs(degree: int, assignment: bool) -> list[tuple[int, in
     if assignment:
         return [(i, i + 1) for i in range(0, n, 2)]
     return [(i, i + 1) for i in range(1, n - 1, 2)] + [(n - 1, 0)]
-
-
-def top_anchor_number(degree: int, offset: int) -> int:
-    """Clockwise 1-based number of the top-edge point at x-offset `offset`."""
-    return offset // 2 + 1
-
-
-def bottom_anchor_number(degree: int, offset: int) -> int:
-    return 3 * degree + 3 + (6 * degree - offset) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +513,9 @@ VARIABLE_GAP = 6
 def compile_planar_1in3(f: Formula) -> GadgetInstance:
     """Compile a formula into a two-colored instance whose perfect
     monochromatic matchings correspond to accepting assignments.  The combs
-    go where `build_layout` puts them, which rejects a crossing layout."""
+    go where `build_layout` puts them, which rejects a crossing layout.
+    Each leg attaches at a boundary point of its variable whose clockwise
+    number is even exactly for a positive literal."""
     layout = build_layout(f)
     order = {v: k for k, v in enumerate(f.variables)}
     uses = Counter(lit.var for c in f.clauses for lit in c.literals)
@@ -552,30 +537,20 @@ def compile_planar_1in3(f: Formula) -> GadgetInstance:
         segments.extend((base + i, base + j) for i, j in segs)
 
     # Anchor allocation: per (variable, side), leg slots left to right in
-    # layout order; slot j picks offset 6j+2 or 6j+4 to meet the parity rule
-    # (even clockwise number exactly for positive literals).
+    # layout order.  Slot j takes offset a = 6j+2 or 6j+4, whichever point's
+    # clockwise number has the literal's parity (even exactly for a positive
+    # literal).  The two numbers differ by one, so exactly one fits, and a
+    # degree-d variable has at most d slots a side, so 6j+4 <= 6d-2.
     anchor_of: dict[tuple[int, str], LegAnchor] = {}
     for (v, side), clause_ids in layout.slot_order.items():
+        d = degrees[v]
         for j, ci in enumerate(clause_ids):
             lit = next(l for l in f.clauses[ci].literals if l.var == v)
-            d = degrees[v]
-            candidates = [6 * j + 2, 6 * j + 4]
-            pick = None
-            for a in candidates:
-                if a > 6 * d - 2:
-                    continue
-                num = (
-                    top_anchor_number(d, a) if side == "above"
-                    else bottom_anchor_number(d, a)
-                )
-                if (num % 2 == 0) == (not lit.negated):
-                    pick = (a, num)
+            for a in (6 * j + 2, 6 * j + 4):
+                num = (a // 2 + 1 if side == "above"
+                       else 3 * d + 3 + (6 * d - a) // 2)
+                if (num % 2 == 0) != lit.negated:
                     break
-            if pick is None:
-                raise ContractError(
-                    f"no anchor slot with the required parity on {v!r}/{side}"
-                )
-            a, num = pick
             y = 4 if side == "above" else 0
             anchor_of[(ci, v)] = LegAnchor(
                 x_offsets[v] + a, y, num, not lit.negated, side
@@ -642,7 +617,7 @@ def greens_of(g: GadgetInstance) -> list[tuple[int, int]]:
     non-designated blue pair unmatchable once the red fill is stripped.
     These are the even grid points of the blue bounding box with a
     coordinate congruent to 2 mod 4 that lie on no designated segment."""
-    blues = [(int(p.x), int(p.y)) for p in g.blues()]
+    blues = [(int(p.x), int(p.y)) for p in g.points.points[: g.blue_count]]
     return _lattice_gaps(blues, g.allowed_segments, 2)
 
 
@@ -659,8 +634,8 @@ def _replace_blockers(
     """Color the blues by `colors`, shear them and the blockers into general
     position, then replace each blocker with a copy of `cluster` shrunk
     about its bounding-box center to half of `_cluster_delta` across."""
-    blues = [(int(p.x), int(p.y)) for p in g.blues()]
-    greens = greens_of(g)
+    blues = [(int(p.x), int(p.y)) for p in g.points.points[: g.blue_count]]
+    greens = _lattice_gaps(blues, g.allowed_segments, 2)
     staged = PointSet.from_tuples(
         [(x, y, c) for (x, y), c in zip(blues, colors)]
         + [(x, y, Color.BLUE) for x, y in greens]

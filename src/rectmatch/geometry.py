@@ -177,11 +177,9 @@ class _Grid:
         """True iff a point lies in [x1, x2] x [y1, y2], where x1 == x2 or
         y1 == y2."""
         if x1 == x2:
-            line, lo, hi = self.columns.get(x1), y1, y2
+            line, lo, hi = self.columns.get(x1, ()), y1, y2
         else:
-            line, lo, hi = self.rows.get(y1), x1, x2
-        if not line:
-            return False
+            line, lo, hi = self.rows.get(y1, ()), x1, x2
         k = bisect_left(line, lo)
         return k < len(line) and line[k] <= hi
 

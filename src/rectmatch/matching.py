@@ -28,7 +28,6 @@ worst case.
 from __future__ import annotations
 
 import json
-import os
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -63,7 +62,6 @@ from rectmatch.independent_set import (
     piercing_order,
 )
 
-ORACLE_GUARD_ENV = "RECTMATCH_ORACLE_GUARD"
 DEFAULT_ORACLE_GUARD = 16
 
 
@@ -99,19 +97,6 @@ class SolveReport:
     family_sizes: tuple[int, ...]
     optimal_size: int | None = None
     ratio: Fraction | None = None
-
-
-def oracle_guard() -> int:
-    """Oracle point-count guard; the environment variable overrides."""
-    value = os.environ.get(ORACLE_GUARD_ENV)
-    if value is None:
-        return DEFAULT_ORACLE_GUARD
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"{ORACLE_GUARD_ENV} must be an integer, not {value!r}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +397,12 @@ def _search(
     take.  Both push and pop in step with the stack and give the same
     conflict answers, so the choice changes only the time taken.
     """
-    limit = max_points if max_points is not None else oracle_guard()
+    limit = max_points if max_points is not None else DEFAULT_ORACLE_GUARD
     n = len(s)
     if n > limit:
         raise GuardError(
             f"{n} points exceeds the oracle guard of {limit}; raise "
-            f"max_points or set {ORACLE_GUARD_ENV}"
+            "max_points or --guard"
         )
     maximize = objective == "max"
     if not maximize and (
@@ -552,8 +537,7 @@ def brute_force_max_matching(
     `forced_pairs` pre-commits pairs (they count toward the result); a
     forced pair that is no candidate, conflicts or reuses a point raises
     ValueError.  Refuses instances larger than the guard (default 16,
-    overridable via the RECTMATCH_ORACLE_GUARD environment variable or
-    `max_points`) with GuardError.
+    `max_points` to raise it) with GuardError.
     """
     return Matching(_search(s, mode, "max", max_points, forced_pairs)[1], mode)
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from rectmatch.cli import main
-from rectmatch.geometry import PointSet, load_points
+from rectmatch.gadgets import compile_planar_1in3, formula_from_dict, sidecar_to_json
+from rectmatch.geometry import PointSet, dump_points, load_points
 from rectmatch.svg_render import render_svg
 
 
@@ -37,6 +38,22 @@ class TestGen:
         meta = json.loads(side.read_text())
         assert meta["provenance"]["blueCount"] == 10
         assert len(meta["allowedSegments"]) == 10
+
+    @pytest.mark.parametrize("signs, side", [("+,+,-", "above"), ("-,-,-", "below")])
+    def test_clause_with_sidecar(self, tmp_path, capsys, signs, side):
+        out, sidecar = tmp_path / "c.pts", tmp_path / "c.json"
+        below = ["--below"] if side == "below" else []
+        code, _, _ = run(capsys, "gen", f"--clause={signs}", *below,
+                         "--out", str(out), "--sidecar", str(sidecar))
+        assert code == 0
+        g = compile_planar_1in3(formula_from_dict({
+            "variables": ["u", "v", "w"],
+            "clauses": [{"literals": [{"var": v, "neg": t == "-"}
+                                      for v, t in zip("uvw", signs.split(","))],
+                         "side": side}],
+        }))
+        assert out.read_text() == dump_points(g.points)
+        assert sidecar.read_text() == sidecar_to_json(g)
 
     def test_missing_choice(self, capsys):
         assert run(capsys, "gen")[0] == 2
@@ -142,21 +159,13 @@ class TestSolveVerifyOracle:
         assert code == 1
         assert "refused" in err
 
-    def test_oracle_env_guard(self, tmp_path, capsys, monkeypatch):
+    def test_oracle_guard_flag(self, tmp_path, capsys):
         pts = tmp_path / "big.pts"
         pts.write_text("".join(f"{i} {i} B\n" for i in range(20)))
-        monkeypatch.setenv("RECTMATCH_ORACLE_GUARD", "24")
-        code, out, _ = run(capsys, "oracle", str(pts), "--mode", "mono")
+        code, out, _ = run(capsys, "oracle", str(pts), "--mode", "mono",
+                           "--guard", "24")
         assert code == 0
         assert json.loads(out)["size"] == 10
-
-    def test_oracle_invalid_env_guard(self, tmp_path, capsys, monkeypatch):
-        pts = tmp_path / "two.pts"
-        pts.write_text("0 0 B\n1 1 B\n")
-        monkeypatch.setenv("RECTMATCH_ORACLE_GUARD", "abc")
-        code, _, err = run(capsys, "oracle", str(pts), "--mode", "mono")
-        assert code == 1
-        assert "RECTMATCH_ORACLE_GUARD" in err and "'abc'" in err
 
 
 class TestCompileSat:
@@ -297,6 +306,13 @@ class TestRender:
             cx, cy, r = (float(c.get(k)) for k in ("cx", "cy", "r"))
             assert -0.01 <= cx - r and cx + r <= width + 0.01
             assert -0.01 <= cy - r and cy + r <= height + 0.01
+
+    def test_empty_set(self):
+        import xml.etree.ElementTree as ET
+
+        root = ET.fromstring(render_svg(PointSet(())))
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert root.findall(".//{http://www.w3.org/2000/svg}circle") == []
 
     def test_rects_drawn_at_exact_coordinates(self, tmp_path, capsys):
         """Rational points with a red-red, a mixed and a blue-blue segment

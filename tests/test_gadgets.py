@@ -3,7 +3,7 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rectmatch.errors import ContractError
@@ -22,8 +22,10 @@ from rectmatch.matching import (
     decide_perfect,
 )
 from rectmatch.gadgets import (
+    Clause,
     Formula,
     LegAnchor,
+    Literal,
     blocking_gadget,
     build_gadget,
     build_layout,
@@ -96,11 +98,6 @@ class TestBlockingGadget:
             (1, 3), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2),
         }
         assert all(p.color is Color.BLUE for p in s)
-
-    def test_scaled_translated(self):
-        s = blocking_gadget(origin=(10, 20), scale=2, color=Color.RED)
-        assert (min(p.x for p in s), min(p.y for p in s)) == (10, 20)
-        assert (max(p.x for p in s), max(p.y for p in s)) == (20, 30)
 
     def test_perfect(self):
         assert decide_perfect(blocking_gadget(), MatchMode.MONO)
@@ -534,14 +531,14 @@ class TestLayoutValidation:
 
 
 @st.composite
-def small_formulas(draw):
+def small_formulas(draw, max_variables=10, max_clauses=5):
     """3-10 variables and 1-5 clauses on random sides with random signs."""
-    names = [f"v{i}" for i in range(draw(st.integers(3, 10)))]
+    names = [f"v{i}" for i in range(draw(st.integers(3, max_variables)))]
     triple = st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True)
     clauses = draw(st.lists(st.tuples(
         triple, st.lists(st.booleans(), min_size=3, max_size=3),
         st.sampled_from(["above", "below"]),
-    ), min_size=1, max_size=5))
+    ), min_size=1, max_size=max_clauses))
     return formula(names, *((list(zip(vs, negs)), side) for vs, negs, side in clauses))
 
 
@@ -563,6 +560,66 @@ def test_layout_equals_the_pairwise_rule(f):
         assert comb_conflict(f, a, b)
     else:
         assert (layout.levels, layout.slot_order) == expected
+
+
+@given(small_formulas(max_variables=6, max_clauses=3))
+@settings(max_examples=40, deadline=None)
+def test_anchors_keep_the_parity_rule(f):
+    """On every formula `build_layout` accepts, the compiler finds an
+    anchor for each leg: slot j of a variable's side sits at offset 6j+2
+    or 6j+4, at most 6*degree-2, on the boundary point with the sidecar's
+    clockwise number, and that number is even exactly for a positive
+    literal."""
+    try:
+        layout = build_layout(f)
+    except ValueError:
+        assume(False)
+    g = compile_planar_1in3(f)
+    shift_x = g.provenance["shift"][0]
+    for ci, c in enumerate(g.provenance["clauses"]):
+        for a in c["anchors"]:
+            var = g.provenance["variables"][a["var"]]
+            x0 = (g.points[var["start"]].x - shift_x) / 4
+            j = layout.slot_order[(a["var"], c["side"])].index(ci)
+            assert a["x"] - x0 in (6 * j + 2, 6 * j + 4)
+            assert a["x"] - x0 <= 6 * var["degree"] - 2
+            boundary, _ = variable_gadget(var["degree"], origin=(x0, 0))
+            assert boundary[a["number"] - 1] == (a["x"], a["y"])
+            assert (a["number"] % 2 == 0) == a["positive"]
+
+
+def _anchor(x, side="above", y=4):
+    return LegAnchor(x, y, 2, True, side)
+
+
+def _clause(names, side="above"):
+    return Clause(tuple(Literal(v, False) for v in names), side)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Formula(("u", "u", "v"), ()), "duplicate variable names"),
+    (lambda: Formula(("u", "v", "w"), (_clause("uuv"),)),
+     "clause ['u', 'u', 'v'] repeats a variable"),
+    (lambda: Formula(("u", "v", "w"), (_clause("uvx"),)),
+     "clause uses unknown variable 'x'"),
+    (lambda: Formula(("u", "v", "w"), (_clause("uvw", "left"),)),
+     "bad side 'left'"),
+    (lambda: clause_gadget([_anchor(2), _anchor(10)]),
+     "a clause needs exactly three anchors"),
+    (lambda: clause_gadget([_anchor(2), _anchor(10), _anchor(20, "below")]),
+     "anchors of one clause must share a side"),
+    (lambda: clause_gadget([_anchor(2), _anchor(10), _anchor(20, y=0)]),
+     "anchors of one clause must lie on one edge line"),
+    (lambda: clause_gadget([_anchor(10), _anchor(2), _anchor(20)]),
+     "anchors must be in increasing x order"),
+    (lambda: variable_gadget(0), "degree must be at least 1"),
+    (lambda: random_instance(4, 5, 1.5, seed=0), "red_fraction must be in [0, 1]"),
+], ids=["duplicate-name", "repeated-variable", "unknown-variable", "bad-side",
+        "two-anchors", "mixed-sides", "two-edge-lines", "x-out-of-order",
+        "degree-0", "red-fraction"])
+def test_validation_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _recolor_inputs():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from naive import (
     is_general_position,
     pierces,
 )
+from strategies import collinear_runs, perturbed, repeated_grid
 
 
 def ps(*triples):
@@ -215,6 +217,12 @@ class TestCandidates:
         s = PointSet.from_tuples((x, y, "B") for x, y in sorted(coords))
         assert empty_pairs(s) == empty_pairs_naive(s)
 
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_matches_naive_on_harsh_sets(self, pts):
+        s = PointSet.from_tuples(pts)
+        assert empty_pairs(s) == empty_pairs_naive(s)
+
 
 class TestPerturb:
     def test_zero_fixed(self):
@@ -353,3 +361,8 @@ class TestPointFile:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
             parse_points("0 0 R\n0 0 B\n")
+
+    def test_two_field_line(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "line 2: expected 'x y color', got '1 1'")):
+            parse_points("0 0 B\n1 1\n")

@@ -13,7 +13,6 @@ from rectmatch.geometry import (
     classify_intersection,
     empty_pairs,
     intersection_kinds,
-    perturb,
     rect_from_pair,
 )
 from rectmatch.independent_set import (
@@ -40,6 +39,7 @@ from naive import (
     order_violation,
     pierces,
 )
+from strategies import collinear_runs, perturbed, repeated_grid
 
 K = IntersectionKind
 
@@ -418,32 +418,6 @@ class TestDilworthIdentity:
             anti = max_antichain(d)  # raises internally if the identity fails
             assert len(anti.members) >= 1
             done += 1
-
-
-# Point sets for the sparse-kinds properties: each draws colors at random.
-@st.composite
-def repeated_grid(draw):
-    """Few distinct x and y values, so coordinates repeat."""
-    coords = draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                          min_size=2, max_size=9))
-    return [(x, y, draw(st.sampled_from("RB"))) for x, y in sorted(coords)]
-
-
-@st.composite
-def perturbed(draw):
-    """Rational coordinates in general position."""
-    pts = draw(repeated_grid())
-    return list((p.x, p.y, p.color) for p in perturb(PointSet.from_tuples(pts), 4))
-
-
-@st.composite
-def collinear_runs(draw):
-    """Points on two vertical and two horizontal lines."""
-    coords = draw(st.sets(st.one_of(
-        st.tuples(st.sampled_from([2, 5]), st.integers(0, 8)),
-        st.tuples(st.integers(0, 8), st.sampled_from([1, 6])),
-    ), min_size=2, max_size=10))
-    return [(x, y, draw(st.sampled_from("RB"))) for x, y in sorted(coords)]
 
 
 def all_pairs_family(s, segments_only=False):

@@ -269,11 +269,6 @@ class TestOracle:
             brute_force_max_matching(s, MatchMode.MONO)
         assert len(brute_force_max_matching(s, MatchMode.MONO, max_points=17)) == 8
 
-    def test_env_guard(self, monkeypatch):
-        s = PointSet.from_tuples([(i, i, "B") for i in range(17)])
-        monkeypatch.setenv("RECTMATCH_ORACLE_GUARD", "20")
-        assert len(brute_force_max_matching(s, MatchMode.MONO)) == 8
-
     def test_canonical_choice(self):
         # Two disjoint optimal matchings; lexicographically least pair set wins.
         s = ps((0, 0, "B"), (0, 1, "B"), (1, 0, "B"), (1, 1, "B"))
@@ -520,6 +515,11 @@ class TestReportJson:
         text = report_to_json(rep)
         assert text.endswith("\n")
         assert matching_from_dict(d).pairs == rep.matching.pairs
+
+    def test_triple_pair_rejected(self):
+        with pytest.raises(ValueError, match=r"^matching key 'pairs' must hold "
+                           r"\[i, j\] pairs of point indices, got \[0, 1, 2\]$"):
+            matching_from_dict({"mode": "monochromatic", "pairs": [[0, 1, 2]]})
 
     def test_deterministic(self):
         s = ps((0, 0, "R"), (1, 1, "B"), (2, 0, "B"), (4, 4, "R"))
