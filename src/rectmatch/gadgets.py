@@ -114,7 +114,8 @@ def variable_matching_pairs(degree: int, assignment: bool) -> list[tuple[int, in
 @dataclass(frozen=True)
 class LegAnchor:
     """Attachment of one clause leg: the anchor is a variable boundary point
-    on the top edge (side 'above') or bottom edge ('below')."""
+    on the top edge y = 4 (side 'above') or the bottom edge y = 0 ('below')
+    of the height-4 variable rectangle that the compiler builds."""
 
     x: int
     y: int
@@ -125,6 +126,10 @@ class LegAnchor:
     def __post_init__(self):
         if self.side not in ("above", "below"):
             raise ValueError(f"side must be 'above' or 'below', got {self.side!r}")
+        edge = 4 if self.side == "above" else 0
+        if self.y != edge:
+            raise ValueError(
+                f"an anchor {self.side} lies on the edge y = {edge}, got y = {self.y}")
         if (self.number % 2 == 0) != self.positive:
             raise ValueError(
                 f"anchor number {self.number} has the wrong parity for a "
@@ -192,9 +197,6 @@ def clause_gadget(anchors: Sequence[LegAnchor], level: int = 0):
     if len(sides) != 1:
         raise ValueError("anchors of one clause must share a side")
     side = anchors[0].side
-    ys = {a.y for a in anchors}
-    if len(ys) != 1:
-        raise ValueError("anchors of one clause must lie on one edge line")
     edge_y = anchors[0].y
     xs = [a.x for a in anchors]
     if not (xs[0] < xs[1] < xs[2]):
@@ -612,15 +614,6 @@ _BI_CLUSTER = (
 )
 
 
-def greens_of(g: GadgetInstance) -> list[tuple[int, int]]:
-    """Blocker positions for the transformations: the points that keep every
-    non-designated blue pair unmatchable once the red fill is stripped.
-    These are the even grid points of the blue bounding box with a
-    coordinate congruent to 2 mod 4 that lie on no designated segment."""
-    blues = [(int(p.x), int(p.y)) for p in g.points.points[: g.blue_count]]
-    return _lattice_gaps(blues, g.allowed_segments, 2)
-
-
 def _cluster_delta(n: int) -> Fraction:
     # Distinct sheared coordinates differ by at least 1/(2n+1); a cluster of
     # half this diameter can never collide with, or escape past, its
@@ -635,6 +628,8 @@ def _replace_blockers(
     position, then replace each blocker with a copy of `cluster` shrunk
     about its bounding-box center to half of `_cluster_delta` across."""
     blues = [(int(p.x), int(p.y)) for p in g.points.points[: g.blue_count]]
+    # The blockers keep every non-designated blue pair unmatchable once the
+    # red fill is stripped.
     greens = _lattice_gaps(blues, g.allowed_segments, 2)
     staged = PointSet.from_tuples(
         [(x, y, c) for (x, y), c in zip(blues, colors)]

@@ -22,8 +22,9 @@ candidate, from the overlaps that the bound masks of `geometry._dominance`
 report, so a conflict test is one bit test.  A larger one buckets the
 chosen boxes by cell of the rank grid, so a conflict test reads only the
 boxes near the query.  The maximum search also prunes with the free points
-that still have a feasible partner; the search stays exponential in the
-worst case.
+that still have a feasible partner.  A small search keeps every candidate
+of a chosen or unmatched point in its blocked mask, so that test is one
+AND per free point.  The search stays exponential in the worst case.
 """
 from __future__ import annotations
 
@@ -255,7 +256,7 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
         partners[j].append((i, k))
     grid = s._rank_grid
     if capacity <= _INDEX_FROM:
-        return partners, _ChosenMask(grid, rects)
+        return partners, _ChosenMask(grid, rects, len(s))
     sample = sorted(max(abs(xr[i] - xr[j]), abs(yr[i] - yr[j]))
                     for i, j in pairs[::len(pairs) // _SAMPLE + 1])
     side = max(1, sample[len(sample) // 2]) if sample else 1
@@ -264,18 +265,21 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
 
 class _ChosenMask:
     """The chosen candidates of a small search, as the bitmask `blocked` of
-    the candidates that meet one of them.  Bit v of `conf[u]` is set iff
-    candidates u and v meet.  Two candidates that share a defining point
-    meet, as `_meet` would find: the point lies in both boxes.  So their
-    bits come from the points' incidence masks, and `_meet` decides only
-    the pairs that `geometry._dominance` reports to overlap whose bit is
-    not set yet.  `append` saves `blocked` before it ORs in the new
-    candidate's mask, so `pop` restores it last in, first out."""
+    the candidates that meet one of them or have a point left unmatched.
+    Bit k of `incident[p]` is set iff point p defines candidate k, and bit
+    v of `conf[u]` iff candidates u and v meet.  Two candidates that share
+    a defining point meet, as `_meet` would find: the point lies in both
+    boxes.  So their bits come from the points' incidence masks, and
+    `_meet` decides only the pairs that `geometry._dominance` reports to
+    overlap whose bit is not set yet.  A chosen candidate's mask holds
+    both of its points' incidence masks, so with `leave` every candidate
+    of a used point is in `blocked`.  `append` and `leave` save `blocked`
+    before they OR in a mask, so `pop` restores it last in, first out."""
 
-    __slots__ = ("conf", "blocked", "saved")
+    __slots__ = ("conf", "incident", "blocked", "saved")
 
-    def __init__(self, grid, rects: Sequence[Rect]):
-        incident: defaultdict[int, int] = defaultdict(int)
+    def __init__(self, grid, rects: Sequence[Rect], points: int):
+        incident = [0] * points
         for k, r in enumerate(rects):
             incident[r.a] |= 1 << k
             incident[r.b] |= 1 << k
@@ -285,12 +289,18 @@ class _ChosenMask:
             conf[u] |= 1 << v
             conf[v] |= 1 << u
         self.conf = conf
+        self.incident = incident
         self.blocked = 0
         self.saved: list[int] = []
 
     def append(self, k: int) -> None:
         self.saved.append(self.blocked)
         self.blocked |= self.conf[k]
+
+    def leave(self, p: int) -> None:
+        """Point p stays unmatched: none of its candidates can be chosen."""
+        self.saved.append(self.blocked)
+        self.blocked |= self.incident[p]
 
     def pop(self) -> None:
         self.blocked = self.saved.pop()
@@ -304,10 +314,11 @@ class _ChosenIndex:
     """The chosen candidates of a large search, bucketed by the square cells
     of side `side` on the rank grid that their boxes overlap.  A box that
     spans more than `_WIDE_CELLS` cells along an axis goes to the `wide`
-    list instead.  `append` and `pop` work last in, first out, so a popped
-    box is the last one in each of its buckets.  `conflicts` tests the
-    boxes in the cells of the query box and the wide ones, or every chosen
-    box when that is fewer; `_meet` decides each one."""
+    list instead.  `append`, `leave` and `pop` work last in, first out, so
+    a popped box is the last one in each of its buckets; `leave` holds no
+    box.  `conflicts` tests the boxes in the cells of the query box and the
+    wide ones, or every chosen box when that is fewer; `_meet` decides each
+    one."""
 
     __slots__ = ("grid", "rects", "side", "cells", "wide", "boxes", "held")
 
@@ -335,10 +346,15 @@ class _ChosenIndex:
         self.boxes.append(box)
         self.held.append(held)
 
+    def leave(self, p: int) -> None:
+        self.held.append(())
+
     def pop(self) -> None:
-        self.boxes.pop()
-        for bucket in self.held.pop():
-            bucket.pop()
+        held = self.held.pop()
+        if held:
+            self.boxes.pop()
+            for bucket in held:
+                bucket.pop()
 
     def conflicts(self, k: int) -> bool:
         """True iff candidate k meets one of the chosen candidates."""
@@ -384,18 +400,21 @@ def _search(
 
     "max" also bounds each child by the free points that still have a
     feasible partner (`beats_best`): an unused one whose box conflicts with
-    no chosen box.  Both bounds are upper bounds on every completion, so no
-    ancestor of the first optimal leaf is pruned, and the first optimum
-    found, the lexicographically least pair set, is the one kept.  The
-    stack is explicit, so the depth of the search is not limited by
-    Python's recursion limit.
+    no chosen box.  A point left unmatched is pushed on the container with
+    `leave`, so a `_ChosenMask` answers that with one AND per free point.
+    Both bounds are upper bounds on every completion, so no ancestor of
+    the first optimal leaf is pruned, and the first optimum found, the
+    lexicographically least pair set, is the one kept.  The stack is
+    explicit, so the depth of the search is not limited by Python's
+    recursion limit.
 
     The chosen candidates live in the container `_search_space` picks
     once per search from n // 2, the most boxes the search can choose: a
     `_ChosenMask` up to `_INDEX_FROM`, a `_ChosenIndex` beyond.  The
     partner lists name each candidate by its index, which both containers
     take.  Both push and pop in step with the stack and give the same
-    conflict answers, so the choice changes only the time taken.
+    conflict and feasibility answers, so the choice changes only the time
+    taken.
     """
     limit = max_points if max_points is not None else DEFAULT_ORACLE_GUARD
     n = len(s)
@@ -438,38 +457,54 @@ def _search(
     best_pairs: tuple[tuple[int, int], ...] = ()
     is_red = [p.color is Color.RED for p in s]
     mono = mode is MatchMode.MONO
+    incident = chosen.incident if isinstance(chosen, _ChosenMask) else None
 
     def beats_best(lo: int, matched: int, free: int) -> bool:
         """Can a completion over the `free` unused points from `lo` up beat
         `best`?  It can match only points with a feasible partner: an unused
         one whose box conflicts with no chosen box.  A mono pair takes two
         points of one color, a bi pair one of each.  The scan stops once
-        the count so far beats `best`, or once even counting every point
-        left as feasible could not."""
-        if matched > best:
+        the count so far beats `best`, or once so many points lack a
+        feasible partner that the rest could not.  A `_ChosenMask` holds
+        every candidate of a used point in `blocked`, so a point has a
+        feasible partner iff one of its candidates is not blocked: one AND.
+        Under a `_ChosenIndex` the point's partners are walked."""
+        need = best - matched
+        if need < 0:
             return True
+        # How many free points may lack a feasible partner before even
+        # pairing all the others could not beat `best`.
+        spare = free - 2 * need - 2
         reds = blues = 0
+        live = ~chosen.blocked if incident is not None else 0
         for p in range(lo, n):
             if used[p]:
                 continue
-            if matched + (reds + blues + free) // 2 <= best:
-                return False
-            free -= 1
-            for q, k in partners_of[p]:
-                if not used[q] and not conflicts(k):
-                    if is_red[p]:
-                        reds += 1
-                    else:
-                        blues += 1
-                    if matched + (reds // 2 + blues // 2 if mono
-                                  else min(reds, blues)) > best:
-                        return True
-                    break
+            if incident is not None:
+                feasible = incident[p] & live
+            else:
+                feasible = any(not used[q] and not conflicts(k)
+                               for q, k in partners_of[p])
+            if not feasible:
+                spare -= 1
+                if spare < 0:
+                    return False
+                continue
+            if is_red[p]:
+                reds += 1
+            else:
+                blues += 1
+            pairs = (reds // 2 + blues // 2 if mono
+                     else reds if reds < blues else blues)
+            if pairs > need:
+                return True
         return False
 
     # A frame is [point, its partner iterator (None once the point has been
     # left unmatched), matched, free, the partner it is paired with or -1].
-    # `free` counts the points neither processed nor paired yet.
+    # `free` counts the points neither processed nor paired yet.  A point
+    # left unmatched is pushed on `chosen` with `leave` while its child is
+    # searched, and popped with its frame.
     stack: list[list] = []
     lowest, matched, free = 0, len(forced), n - 2 * len(forced)
     while True:
@@ -513,11 +548,14 @@ def _search(
                         lowest, matched, free = i + 1, matched + 1, free - 2
                         break
                 frame[1] = None
-                if matched + (free - 1) // 2 > best and (
-                    not maximize or beats_best(i + 1, matched, free - 1)
-                ):
-                    lowest, free = i + 1, free - 1
-                    break
+                if matched + (free - 1) // 2 > best:
+                    chosen.leave(i)
+                    if not maximize or beats_best(i + 1, matched, free - 1):
+                        lowest, free = i + 1, free - 1
+                        break
+                    chosen.pop()
+            else:
+                chosen.pop()
             used[i] = False
             stack.pop()
         else:

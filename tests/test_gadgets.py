@@ -35,7 +35,6 @@ from rectmatch.gadgets import (
     forced_variable_pairs,
     formula_from_dict,
     formula_to_dict,
-    greens_of,
     monochromatize,
     bichromatize,
     one_in_three_satisfiable,
@@ -606,10 +605,10 @@ def _clause(names, side="above"):
      "bad side 'left'"),
     (lambda: clause_gadget([_anchor(2), _anchor(10)]),
      "a clause needs exactly three anchors"),
-    (lambda: clause_gadget([_anchor(2), _anchor(10), _anchor(20, "below")]),
+    (lambda: clause_gadget([_anchor(2), _anchor(10), _anchor(20, "below", y=0)]),
      "anchors of one clause must share a side"),
     (lambda: clause_gadget([_anchor(2), _anchor(10), _anchor(20, y=0)]),
-     "anchors of one clause must lie on one edge line"),
+     "an anchor above lies on the edge y = 4, got y = 0"),
     (lambda: clause_gadget([_anchor(10), _anchor(2), _anchor(20)]),
      "anchors must be in increasing x order"),
     (lambda: variable_gadget(0), "degree must be at least 1"),

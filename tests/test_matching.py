@@ -653,7 +653,8 @@ def test_oracle_matches_subset_enumeration(s):
 @st.composite
 def box_operations(draw):
     """A rank grid of up to 8 x 8 with points on it, candidate boxes, a cell
-    side, and a sequence of pushes, pops and queries of the candidates.
+    side, and a sequence of pushes, leaves, pops and queries of the
+    candidates; a leave names a candidate's first point.
     The boxes include zero-width and zero-height segments, boxes with
     shared coordinates and boxes spanning the whole grid.  As in the
     oracle, each box is spanned by two points at opposite corners, and
@@ -688,42 +689,78 @@ def box_operations(draw):
     # boxes, so most sequences start with a run of pushes.
     ops = [("push", draw(pick)) for _ in range(draw(st.integers(0, 30)))]
     ops += [(op, draw(pick)) for op in draw(st.lists(
-        st.sampled_from(["push", "query", "query", "pop"]), max_size=40))]
-    return grid, rects, draw(st.integers(1, 4)), ops
+        st.sampled_from(["push", "leave", "query", "query", "pop"]), max_size=40))]
+    return grid, len(points), rects, draw(st.integers(1, 4)), ops
 
 
 @given(box_operations())
 @settings(max_examples=300, deadline=None)
 def test_chosen_index_answers_as_the_scan(case):
-    """Under any last-in-first-out sequence of pushes and pops, the bitmask
-    and the index give every conflict query the answer of `_meet` over all
-    chosen boxes."""
-    grid, rects, side, ops = case
-    chosen = []
-    mask = matching_module._ChosenMask(grid, rects)
+    """Under any last-in-first-out sequence of pushes, leaves and pops, the
+    index gives every conflict query the answer of `_meet` over all chosen
+    boxes.  The bitmask gives the same answer, except that it also blocks
+    each candidate of a point left unmatched."""
+    grid, points, rects, side, ops = case
+    chosen = []  # the chosen boxes, and the points left unmatched
+    mask = matching_module._ChosenMask(grid, rects, points)
     index = matching_module._ChosenIndex(grid, rects, side)
     for op, k in ops:
         if op == "push":
             chosen.append(rects[k])
             mask.append(k)
             index.append(k)
+        elif op == "leave":
+            chosen.append(rects[k].a)
+            mask.leave(rects[k].a)
+            index.leave(rects[k].a)
+            assert mask.conflicts(k)
         elif op == "pop" and chosen:
             chosen.pop()
             mask.pop()
             index.pop()
         else:
-            want = conflicts_naive(rects[k], chosen, grid)
-            assert bool(mask.conflicts(k)) == want
+            boxes = [c for c in chosen if isinstance(c, Rect)]
+            left = {c for c in chosen if not isinstance(c, Rect)}
+            want = conflicts_naive(rects[k], boxes, grid)
             assert index.conflicts(k) == want
+            assert bool(mask.conflicts(k)) == (
+                want or rects[k].a in left or rects[k].b in left)
+
+
+def _searches_by_container(s, mode, runs):
+    """`_search`'s outcome and its number of pushes for each of `runs`
+    (objective, forced pairs, allowed pairs): one list with the chosen
+    boxes in a bitmask, one with `_INDEX_FROM` at 0, in the index."""
+    by_container = []
+    for index_from in (matching_module._INDEX_FROM, 0):
+        pushes = [0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching_module, "_INDEX_FROM", index_from)
+            for cls in (matching_module._ChosenMask, matching_module._ChosenIndex):
+                def append(self, k, _append=cls.append):
+                    pushes[0] += 1
+                    _append(self, k)
+
+                mp.setattr(cls, "append", append)
+            outcomes = []
+            for objective, forced_pairs, allowed_pairs in runs:
+                pushes[0] = 0
+                outcome = _outcome(lambda: matching_module._search(
+                    s, mode, objective, len(s), forced_pairs, allowed_pairs))
+                outcomes.append((outcome, pushes[0]))
+        by_container.append(outcomes)
+    return by_container
 
 
 @given(solver_inputs(max_size=12), st.data())
 @settings(max_examples=60, deadline=None)
 def test_bitmask_and_index_searches_agree(s, data):
-    """`_search` reaches the same leaves and returns the same pairs whether
-    it keeps the chosen boxes as a bitmask or, with `_INDEX_FROM` at 0, in
-    the index: for every objective, with forced pairs (which may be
-    invalid) and with a restricted set of allowed pairs."""
+    """`_search` reaches the same leaves, returns the same pairs and pushes
+    as many boxes whether it keeps the chosen boxes as a bitmask or in the
+    index: for every objective, with forced pairs (which may be invalid)
+    and with a restricted set of allowed pairs.  Equal pushes mean that
+    both bound each node alike: a looser but valid bound on either would
+    leave the leaves and pairs as they are, but visit more nodes."""
     for mode in MatchMode:
         same = mode is MatchMode.MONO
         pairs = [(i, j) for i, j in empty_pairs(s)
@@ -732,17 +769,21 @@ def test_bitmask_and_index_searches_agree(s, data):
         if pairs:
             forced = data.draw(st.lists(st.sampled_from(pairs), max_size=2))
             allowed = data.draw(st.none() | st.lists(st.sampled_from(pairs), unique=True))
-
-        def answers():
-            return [
-                _outcome(lambda: matching_module._search(
-                    s, mode, objective, len(s), forced_pairs, allowed_pairs))
+        runs = [(objective, forced_pairs, allowed_pairs)
                 for objective in ("max", "decide", "count")
-                for forced_pairs, allowed_pairs in (((), None), (forced, allowed))
-            ]
-
-        masked = answers()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matching_module, "_INDEX_FROM", 0)
-            indexed = answers()
+                for forced_pairs, allowed_pairs in (((), None), (forced, allowed))]
+        masked, indexed = _searches_by_container(s, mode, runs)
         assert masked == indexed
+
+
+@pytest.mark.parametrize("mode, n, seed", [
+    (MatchMode.MONO, 20, 11), (MatchMode.MONO, 22, 7), (MatchMode.MONO, 24, 3),
+    (MatchMode.BI, 20, 2), (MatchMode.BI, 22, 0), (MatchMode.BI, 24, 8),
+])
+def test_dense_max_searches_agree_on_nodes(mode, n, seed):
+    """On dense instances, where the feasible-partner bound prunes after a
+    point is left unmatched, the bitmask and the index reach the same
+    leaves and pairs with as many pushes."""
+    s = gadget_random_instance(n, n, 0.5, seed=seed)
+    masked, indexed = _searches_by_container(s, mode, [("max", (), None)])
+    assert masked == indexed
