@@ -15,7 +15,7 @@ overlaps this way, and `_meet` classifies the pairs;
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -332,57 +332,160 @@ def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
                x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1])
 
 
-def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
-    """All index pairs {i, j} whose rectangle contains no third point of s.
+# `empty_pairs` sweeps sets of at least this many points and scans smaller
+# ones: below it the sweep's tree costs more than the steps it saves.
+_SWEEP_FROM = 350
 
-    Directional sweep on coordinate ranks: points are scanned in (x, y)
-    order and, for each anchor, later points are admitted while they beat
-    the lowest blocker seen above the anchor line (resp. highest below).
-    The output is that of the quadratic pair filter.  The scan of an anchor
-    stops early only at a point level with it; otherwise it runs to the
-    last point, so the cost stays quadratic: on the 17 calls of one
-    `reduction` benchmark round it takes 2.69M steps for 86.9k pairs.  An
-    exit once the blockers sit on the rows next to the anchor's
-    (`min_up == py + 1 and max_down == py - 1`) was tried there and made
-    no measurable difference.
+
+def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
+    """All index pairs {i, j}, i < j, whose rectangle contains no third
+    point of s, in sorted order.
+
+    Both paths take the points in (x, y) order of their ranks, and pair
+    each anchor with some of the points after it, in that order.  A window
+    holds the y ranks that a later point may still have.  It starts as
+    every rank, or every rank above the nearest point below the anchor in
+    its own column, which sorts before the anchor.  Each point found in the
+    window shrinks it: a point above the anchor line removes its rank and
+    those above, a point below removes its rank and those below, and a
+    point on the line ends the anchor's turn.  A point found in the window
+    is paired with the anchor, unless it lies below the line and the next
+    point in its own column lies no higher than the line: that point sorts
+    after it, yet lies in the pair's box.
+
+    The paths differ only in how they find the next point in the window.
+    `_scan_pairs` steps through every later point: O(n^2) steps.
+    `_sweep_pairs` jumps to it through a min-segment tree over the y
+    ranks: O((n + k) log n) for k pairs.  Sets of fewer than `_SWEEP_FROM`
+    points take the scan: up to about 200 random points the sweep's tree
+    costs more than the steps it saves, and from 350 on the sweep is
+    clearly the faster.
     """
+    find = _sweep_pairs if len(s) >= _SWEEP_FROM else _scan_pairs
+    return find(s)
+
+
+def _by_xy(s: PointSet) -> tuple[list[int], list[int], list[int]]:
+    """The point indices of s in (x, y) order of their ranks, and the x and
+    y ranks of the points in that order."""
     xr, yr = s._ranks
     order = sorted(range(len(s)), key=lambda k: (xr[k], yr[k]))
-    out: list[tuple[int, int]] = []
+    return order, [xr[k] for k in order], [yr[k] for k in order]
+
+
+def _scan_pairs(s: PointSet) -> list[tuple[int, int]]:
+    """`empty_pairs` of s, each anchor stepping through every later point
+    until one level with it; its window is the y ranks [lo, hi)."""
+    order, xs, ys = _by_xy(s)
     n = len(order)
+    out: list[tuple[int, int]] = []
+    if n < 2:
+        return out
+    top = max(ys) + 1
+    xs.append(-1)  # the last point has no column successor
     for pos in range(n):
-        i = order[pos]
-        py = yr[i]
-        min_up: int | None = None
-        max_down: int | None = None
-        if pos > 0:
-            k = order[pos - 1]
-            # The nearest same-column point below the anchor precedes it in
-            # the sort order yet blocks every box hanging below the anchor.
-            if xr[k] == xr[i]:
-                max_down = yr[k]
-        for pos2 in range(pos + 1, n):
-            j = order[pos2]
-            qy = yr[j]
+        i, py = order[pos], ys[pos]
+        lo = ys[pos - 1] + 1 if pos and xs[pos - 1] == xs[pos] else 0
+        hi = top
+        for q in range(pos + 1, n):
+            qy = ys[q]
             if qy >= py:
-                if min_up is None or qy < min_up:
+                if qy < hi:
+                    j = order[q]
                     out.append((i, j) if i < j else (j, i))
-                    min_up = qy
                     if qy == py:
-                        # A point level with the anchor blocks both sides.
                         break
+                    hi = qy
+            elif qy >= lo:
+                if xs[q + 1] != xs[q] or ys[q + 1] > py:
+                    j = order[q]
+                    out.append((i, j) if i < j else (j, i))
+                lo = qy + 1
+    out.sort()
+    return out
+
+
+# The sweep tests this many later points one by one before it asks its tree.
+# On a `reduction` round the next point in the window is among them for half
+# of the lookups, and the probe makes the sweep about 1.3 times as fast.
+_PROBE = 4
+
+
+def _sweep_pairs(s: PointSet) -> list[tuple[int, int]]:
+    """`empty_pairs` of s, by the scan's rules, with each anchor jumping to
+    the next point whose y lies in its window.
+
+    The anchors are taken from the last point back, so the points after
+    the anchor are those already seen.  A min-segment tree over y ranks
+    holds, per rank, the least position of a point seen there.  Each new
+    point has the least position seen so far, so it overwrites its leaf and
+    every ancestor.  The least position over the window's ranks is the next
+    point in the window: every point skipped on the way lies outside the
+    window, and the window only shrinks.  The next `_PROBE` points are
+    tried one by one before the tree is asked.  A point below the anchor
+    line that is not paired is followed in its column by others up to the
+    line, which are not paired either, except the highest: a bisection
+    finds it.  So every step finds a pair or ends the anchor's turn."""
+    order, xs, ys = _by_xy(s)
+    n = len(order)
+    out: list[tuple[int, int]] = []
+    if n < 2:
+        return out
+    top = max(ys) + 1
+    size = 1 << (top - 1).bit_length()
+    tree = [n] * (2 * size)
+    xs.append(-1)  # the last point has no column successor
+    for pos in range(n - 1, -1, -1):
+        i, py = order[pos], ys[pos]
+        lo = ys[pos - 1] + 1 if pos and xs[pos - 1] == xs[pos] else 0
+        hi = top
+        q = pos + 1
+        while True:
+            # q: the next position whose y lies in [lo, hi), or n if none.
+            end = q + _PROBE
+            if end > n:
+                end = n
+            while q < end:
+                qy = ys[q]
+                if lo <= qy < hi:
+                    break
+                q += 1
             else:
-                if max_down is None or qy > max_down:
-                    # A point in q's own column between q and the anchor line
-                    # sorts after q; its column successor is the lowest such.
-                    blocked = False
-                    if pos2 + 1 < n:
-                        k = order[pos2 + 1]
-                        if xr[k] == xr[j] and yr[k] <= py:
-                            blocked = True
-                    if not blocked:
-                        out.append((i, j) if i < j else (j, i))
-                    max_down = qy
+                if q == n:
+                    break
+                l, r, q = lo + size, hi + size, n
+                while l < r:
+                    if l & 1:
+                        if tree[l] < q:
+                            q = tree[l]
+                        l += 1
+                    if r & 1:
+                        r -= 1
+                        if tree[r] < q:
+                            q = tree[r]
+                    l >>= 1
+                    r >>= 1
+                if q == n:
+                    break
+                qy = ys[q]
+            if qy < py and xs[q + 1] == xs[q] and ys[q + 1] <= py:
+                # Of q and the points above it in its column up to the
+                # anchor line, only the highest can be paired: go to it.
+                q = bisect_right(ys, py, q, bisect_right(xs, xs[q], q, n)) - 1
+                qy = ys[q]
+            j = order[q]
+            out.append((i, j) if i < j else (j, i))
+            if qy >= py:
+                if qy == py:
+                    break
+                hi = qy
+            else:
+                lo = qy + 1
+            q += 1
+        k = py + size
+        while k:
+            tree[k] = pos
+            k >>= 1
     out.sort()
     return out
 
@@ -390,9 +493,10 @@ def empty_pairs(s: PointSet) -> list[tuple[int, int]]:
 def _color_pairs(s: PointSet, same: bool) -> list[tuple[int, int]]:
     """The empty pairs of s whose two points have the same color (`same`)
     or different colors."""
+    colors = [p.color for p in s.points]
     return [
         (i, j) for i, j in empty_pairs(s)
-        if (s[i].color is s[j].color) == same
+        if (colors[i] is colors[j]) == same
     ]
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from rectmatch.errors import ContractError
 from rectmatch.geometry import (
@@ -37,7 +37,6 @@ from rectmatch.geometry import (
     _bits,
     _classify,
     _dominance,
-    empty_pairs,
 )
 
 
@@ -52,23 +51,6 @@ class RectFamily:
             if r.key in keys:
                 raise ValueError(f"duplicate rectangle {r.key}")
             keys.add(r.key)
-
-    @classmethod
-    def checked(cls, base: PointSet, rects: Iterable[Rect]) -> "RectFamily":
-        """Build a family, verifying each member contains only its two points."""
-        rects = tuple(rects)
-        empty = set(empty_pairs(base))
-        xr, yr = base._ranks
-        for r in rects:
-            if r.key in empty:
-                continue
-            k = next(k for k in range(len(base)) if k != r.a and k != r.b
-                     and r.xmin <= xr[k] <= r.xmax and r.ymin <= yr[k] <= r.ymax)
-            p = base[k]
-            raise ValueError(
-                f"rect {r.key} is not empty: contains point {k} at ({p.x}, {p.y})"
-            )
-        return cls(base, rects)
 
     def __len__(self) -> int:
         return len(self.rects)

@@ -21,10 +21,12 @@ boxes works out once which candidates meet which, as one bitmask per
 candidate, from the overlaps that the bound masks of `geometry._dominance`
 report, so a conflict test is one bit test.  A larger one buckets the
 chosen boxes by cell of the rank grid, so a conflict test reads only the
-boxes near the query.  The maximum search also prunes with the free points
-that still have a feasible partner.  A small search keeps every candidate
-of a chosen or unmatched point in its blocked mask, so that test is one
-AND per free point.  The search stays exponential in the worst case.
+boxes near the query, and builds a candidate's `Rect` the first time a
+test or a choice touches it.  The maximum search also prunes with the
+free points that still have a feasible partner.  A small search keeps
+every candidate of a chosen or unmatched point in its blocked mask, so
+that test is one AND per free point.  The search stays exponential in
+the worst case.
 """
 from __future__ import annotations
 
@@ -233,22 +235,22 @@ _SAMPLE = 256
 
 def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=None):
     """The candidate pairs of a mode, as each point's partners in ascending
-    order, each with the index of the pair's `Rect` among the candidates,
-    and an empty container for at most `capacity` chosen candidates.
+    order, each with the index of the pair among the candidates, and an
+    empty container for at most `capacity` chosen candidates.
     `allowed_pairs`, when given, keeps only those pairs.
 
     The container is a `_ChosenMask` when `capacity` is at most
     `_INDEX_FROM`, else a `_ChosenIndex` over the rank grid whose cell side
     is the median extent of about `_SAMPLE` candidate boxes, taken evenly
-    from the pairs in order.  Both decide conflicts with `geometry._meet`
-    on the rank grid, the rule that `classify_intersection` and
-    `intersection_kinds` run."""
+    from the pairs in order.  A `_ChosenMask` works out every candidate's
+    `Rect` up front, a `_ChosenIndex` each one the first time it is
+    touched.  Both decide conflicts with `geometry._meet` on the rank grid,
+    the rule that `classify_intersection` and `intersection_kinds` run."""
     pairs = _color_pairs(s, mode is MatchMode.MONO)
     if allowed_pairs is not None:
         keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
         pairs = [p for p in pairs if p in keep]
     xr, yr = s._ranks
-    rects = [_rect(xr, yr, i, j) for i, j in pairs]
     # The pairs come sorted, so each point's partners come in ascending order.
     partners = [[] for _ in range(len(s))]
     for k, (i, j) in enumerate(pairs):
@@ -256,11 +258,12 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
         partners[j].append((i, k))
     grid = s._rank_grid
     if capacity <= _INDEX_FROM:
+        rects = [_rect(xr, yr, i, j) for i, j in pairs]
         return partners, _ChosenMask(grid, rects, len(s))
     sample = sorted(max(abs(xr[i] - xr[j]), abs(yr[i] - yr[j]))
                     for i, j in pairs[::len(pairs) // _SAMPLE + 1])
     side = max(1, sample[len(sample) // 2]) if sample else 1
-    return partners, _ChosenIndex(grid, rects, side)
+    return partners, _ChosenIndex(grid, s._ranks, pairs, side)
 
 
 class _ChosenMask:
@@ -312,27 +315,40 @@ class _ChosenMask:
 
 class _ChosenIndex:
     """The chosen candidates of a large search, bucketed by the square cells
-    of side `side` on the rank grid that their boxes overlap.  A box that
-    spans more than `_WIDE_CELLS` cells along an axis goes to the `wide`
-    list instead.  `append`, `leave` and `pop` work last in, first out, so
-    a popped box is the last one in each of its buckets; `leave` holds no
+    of side `side` on the rank grid that their boxes overlap.  Candidate k
+    is the pair `pairs[k]` of points whose x and y ranks are `ranks`; its
+    `Rect` is built the first time `append` or `conflicts` touches it,
+    since a search touches only some of the candidates.  A box that spans
+    more than `_WIDE_CELLS` cells along an axis goes to the `wide` list
+    instead.  `append`, `leave` and `pop` work last in, first out, so a
+    popped box is the last one in each of its buckets; `leave` holds no
     box.  `conflicts` tests the boxes in the cells of the query box and the
     wide ones, or every chosen box when that is fewer; `_meet` decides each
     one."""
 
-    __slots__ = ("grid", "rects", "side", "cells", "wide", "boxes", "held")
+    __slots__ = ("grid", "ranks", "pairs", "rects", "side", "cells", "wide",
+                 "boxes", "held")
 
-    def __init__(self, grid, rects: Sequence[Rect], side: int):
+    def __init__(self, grid, ranks: tuple[list[int], list[int]],
+                 pairs: Sequence[tuple[int, int]], side: int):
         self.grid = grid
-        self.rects = rects
+        self.ranks = ranks
+        self.pairs = pairs
+        self.rects: list[Rect | None] = [None] * len(pairs)
         self.side = side
         self.cells: defaultdict[tuple[int, int], list] = defaultdict(list)
         self.wide: list = []
         self.boxes: list = []  # in push order
         self.held: list[list[list]] = []  # the buckets of each box
 
+    def _build(self, k: int) -> Rect:
+        """Candidate k's `Rect`, built and kept."""
+        i, j = self.pairs[k]
+        box = self.rects[k] = _rect(*self.ranks, i, j)
+        return box
+
     def append(self, k: int) -> None:
-        box = self.rects[k]
+        box = self.rects[k] or self._build(k)
         c = self.side
         cx1, cx2, cy1, cy2 = box[0] // c, box[1] // c, box[2] // c, box[3] // c
         if cx2 - cx1 >= _WIDE_CELLS or cy2 - cy1 >= _WIDE_CELLS:
@@ -358,7 +374,7 @@ class _ChosenIndex:
 
     def conflicts(self, k: int) -> bool:
         """True iff candidate k meets one of the chosen candidates."""
-        box = self.rects[k]
+        box = self.rects[k] or self._build(k)
         x1, x2, y1, y2, _, _ = box
         c = self.side
         cx1, cx2, cy1, cy2 = x1 // c, x2 // c, y1 // c, y2 // c

@@ -13,6 +13,7 @@ from rectmatch.gadgets import Formula
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
+    Rect,
     _Grid,
     _meet,
     classify_intersection,
@@ -85,6 +86,25 @@ def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
             ):
                 out.append((i, j))
     return out
+
+
+def checked_family(base: PointSet, rects: Iterable[Rect]) -> RectFamily:
+    """The family of `rects` over `base`, after checking that each member
+    contains no third point of `base`.  The first member that does raises
+    ValueError naming it and the lowest such point, at its exact
+    coordinates."""
+    rects = tuple(rects)
+    xr, yr = base._ranks
+    for r in rects:
+        k = next((k for k in range(len(base)) if k != r.a and k != r.b
+                  and r.xmin <= xr[k] <= r.xmax and r.ymin <= yr[k] <= r.ymax),
+                 None)
+        if k is not None:
+            p = base[k]
+            raise ValueError(
+                f"rect {r.key} is not empty: contains point {k} at ({p.x}, {p.y})"
+            )
+    return RectFamily(base, rects)
 
 
 def matching_sizes_naive(s: PointSet, same_color: bool) -> tuple[int, int]:

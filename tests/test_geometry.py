@@ -5,12 +5,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rectmatch.geometry as geometry
+from rectmatch.gadgets import (
+    bichromatize,
+    build_gadget,
+    compile_planar_1in3,
+    formula_from_dict,
+    monochromatize,
+    variable_gadget,
+)
+from rectmatch.gadgets import random_instance as gadget_random_instance
 from rectmatch.geometry import (
     Color,
     IntersectionKind,
     PointSet,
     Rect,
     _dense_ranks,
+    _scan_pairs,
+    _sweep_pairs,
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
@@ -215,13 +227,74 @@ class TestCandidates:
     @settings(max_examples=60, deadline=None)
     def test_sweep_matches_naive(self, coords):
         s = PointSet.from_tuples((x, y, "B") for x, y in sorted(coords))
-        assert empty_pairs(s) == empty_pairs_naive(s)
+        want = empty_pairs_naive(s)
+        assert empty_pairs(s) == want
+        assert _scan_pairs(s) == want
+        assert _sweep_pairs(s) == want
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
     @settings(max_examples=200, deadline=None)
     def test_sweep_matches_naive_on_harsh_sets(self, pts):
         s = PointSet.from_tuples(pts)
-        assert empty_pairs(s) == empty_pairs_naive(s)
+        want = empty_pairs_naive(s)
+        assert empty_pairs(s) == want
+        assert _scan_pairs(s) == want
+        assert _sweep_pairs(s) == want
+
+
+def _one_clause_formula():
+    return compile_planar_1in3(formula_from_dict({
+        "variables": ["u", "v", "w"],
+        "clauses": [{"literals": [{"var": v, "neg": neg} for v, neg in
+                                  (("u", False), ("v", True), ("w", False))]}],
+    })).points
+
+
+def _variable_gadget_2():
+    return build_gadget(*variable_gadget(2), {"recipe": "variable"})
+
+
+def _line(axis):
+    return PointSet.from_tuples((k, 7, "B") if axis == "row" else (7, k, "B")
+                                for k in range(600))
+
+
+def _staircase_beside_a_column():
+    """Each step of the staircase sees the whole column below it, where
+    only the top point pairs with it."""
+    return PointSet.from_tuples(
+        [(k - 300, 400 + k, "B") for k in range(300)]
+        + [(1, y, "R") for y in range(300)])
+
+
+@pytest.mark.parametrize("make", [
+    _one_clause_formula,
+    lambda: monochromatize(_variable_gadget_2()),
+    lambda: bichromatize(_variable_gadget_2()),
+    lambda: gadget_random_instance(600, 60, 0.5, seed=5),
+    lambda: _line("row"),
+    lambda: _line("column"),
+    _staircase_beside_a_column,
+], ids=["one-clause", "mono-variable-2", "bi-variable-2", "random-600-on-60",
+        "row-600", "column-600", "staircase-beside-a-column"])
+def test_sweep_equals_the_scan_above_the_crossover(make, monkeypatch):
+    """On sets of 600 to 1608 points, with rational coordinates, repeated
+    coordinates and collinear runs, the sweep finds the scan's pairs.
+    `empty_pairs` takes the sweep on such a set and the scan on its first
+    `_SWEEP_FROM - 1` points."""
+    s = make()
+    assert len(s) >= geometry._SWEEP_FROM
+    want = _scan_pairs(s)
+    assert _sweep_pairs(s) == want
+    taken = []
+    for name in ("_scan_pairs", "_sweep_pairs"):
+        found = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda s, name=name, found=found: taken.append(name) or found(s))
+    assert empty_pairs(s) == want
+    small = PointSet(s.points[:geometry._SWEEP_FROM - 1])
+    assert empty_pairs(small) == _sweep_pairs(small)
+    assert taken == ["_sweep_pairs", "_scan_pairs"]
 
 
 class TestPerturb:

@@ -30,6 +30,7 @@ from rectmatch.independent_set import (
 from naive import (
     antichain_by_kuhn,
     brute_force_mis,
+    checked_family,
     classify_exact,
     dag_from_arcs,
     dump_edges,
@@ -49,7 +50,7 @@ def ps(*triples):
 
 
 def family(s, pairs):
-    return RectFamily.checked(s, tuple(rect_from_pair(s, i, j) for i, j in pairs))
+    return checked_family(s, tuple(rect_from_pair(s, i, j) for i, j in pairs))
 
 
 def all_empty_family(s):
@@ -103,7 +104,7 @@ class TestChecked:
                (1, 1, "R"))
         with pytest.raises(ValueError, match=re.escape(
                 "rect (0, 1) is not empty: contains point 2 at (4, 3/2)")):
-            RectFamily.checked(s, [rect_from_pair(s, 1, 3), rect_from_pair(s, 1, 0)])
+            checked_family(s, [rect_from_pair(s, 1, 3), rect_from_pair(s, 1, 0)])
 
     def test_duplicate_rectangle_rejected(self):
         s = ps((0, 0, "B"), (1, 1, "B"))

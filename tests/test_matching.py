@@ -654,7 +654,8 @@ def test_oracle_matches_subset_enumeration(s):
 def box_operations(draw):
     """A rank grid of up to 8 x 8 with points on it, candidate boxes, a cell
     side, and a sequence of pushes, leaves, pops and queries of the
-    candidates; a leave names a candidate's first point.
+    candidates; a leave names the candidate where the test starts to look
+    for a point to leave.
     The boxes include zero-width and zero-height segments, boxes with
     shared coordinates and boxes spanning the whole grid.  As in the
     oracle, each box is spanned by two points at opposite corners, and
@@ -683,14 +684,16 @@ def box_operations(draw):
         return Rect(x1, x2, y1, y2, corner(x1, y1), corner(x2, y2))
 
     rects = [box() for _ in range(draw(st.integers(1, 30)))]
-    grid = _Grid([x for x, _ in points], [y for _, y in points])
+    ranks = ([x for x, _ in points], [y for _, y in points])
     pick = st.integers(0, len(rects) - 1)
-    # A query reads the cells only when they are fewer than the chosen
-    # boxes, so most sequences start with a run of pushes.
-    ops = [("push", draw(pick)) for _ in range(draw(st.integers(0, 30)))]
+    # A few leaves come first, while nothing is blocked.  A query reads the
+    # cells only when they are fewer than the chosen boxes, so most
+    # sequences go on with a run of pushes.
+    ops = [("leave", draw(pick)) for _ in range(draw(st.integers(0, 3)))]
+    ops += [("push", draw(pick)) for _ in range(draw(st.integers(0, 30)))]
     ops += [(op, draw(pick)) for op in draw(st.lists(
         st.sampled_from(["push", "leave", "query", "query", "pop"]), max_size=40))]
-    return grid, len(points), rects, draw(st.integers(1, 4)), ops
+    return ranks, rects, draw(st.integers(1, 4)), ops
 
 
 @given(box_operations())
@@ -699,32 +702,51 @@ def test_chosen_index_answers_as_the_scan(case):
     """Under any last-in-first-out sequence of pushes, leaves and pops, the
     index gives every conflict query the answer of `_meet` over all chosen
     boxes.  The bitmask gives the same answer, except that it also blocks
-    each candidate of a point left unmatched."""
-    grid, points, rects, side, ops = case
+    each candidate of a point left unmatched.  A leave takes, when there
+    is one, a point of a candidate that nothing blocks yet, and every
+    candidate of that point is queried right after it, so that only the
+    leave can block them in the bitmask."""
+    ranks, rects, side, ops = case
+    grid = _Grid(*ranks)
     chosen = []  # the chosen boxes, and the points left unmatched
-    mask = matching_module._ChosenMask(grid, rects, points)
-    index = matching_module._ChosenIndex(grid, rects, side)
+    mask = matching_module._ChosenMask(grid, rects, len(ranks[0]))
+    index = matching_module._ChosenIndex(grid, ranks, [(r.a, r.b) for r in rects], side)
+
+    def blocked(k):
+        """`conflicts_naive` of candidate k, and whether the bitmask must
+        block it."""
+        boxes = [c for c in chosen if isinstance(c, Rect)]
+        left = {c for c in chosen if not isinstance(c, Rect)}
+        want = conflicts_naive(rects[k], boxes, grid)
+        return want, want or rects[k].a in left or rects[k].b in left
+
+    def check(k):
+        want, want_mask = blocked(k)
+        assert index.conflicts(k) == want
+        assert bool(mask.conflicts(k)) == want_mask
+
     for op, k in ops:
         if op == "push":
             chosen.append(rects[k])
             mask.append(k)
             index.append(k)
         elif op == "leave":
-            chosen.append(rects[k].a)
-            mask.leave(rects[k].a)
-            index.leave(rects[k].a)
-            assert mask.conflicts(k)
+            n = len(rects)
+            k = next((c for c in ((k + d) % n for d in range(n))
+                      if not blocked(c)[1]), k)
+            p = rects[k].a
+            chosen.append(p)
+            mask.leave(p)
+            index.leave(p)
+            for c, r in enumerate(rects):
+                if p in (r.a, r.b):
+                    check(c)
         elif op == "pop" and chosen:
             chosen.pop()
             mask.pop()
             index.pop()
         else:
-            boxes = [c for c in chosen if isinstance(c, Rect)]
-            left = {c for c in chosen if not isinstance(c, Rect)}
-            want = conflicts_naive(rects[k], boxes, grid)
-            assert index.conflicts(k) == want
-            assert bool(mask.conflicts(k)) == (
-                want or rects[k].a in left or rects[k].b in left)
+            check(k)
 
 
 def _searches_by_container(s, mode, runs):
