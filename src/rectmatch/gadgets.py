@@ -98,16 +98,6 @@ def variable_gadget(degree: int, origin: tuple[int, int] = (0, 0)):
     return pts, segments
 
 
-def variable_matching_pairs(degree: int, assignment: bool) -> list[tuple[int, int]]:
-    """Local index pairs of the gadget's two perfect matchings: the
-    1-matching pairs point i with i+1 for odd i (1-based), the 0-matching
-    for even i, indices cyclic."""
-    n = 6 * degree + 4
-    if assignment:
-        return [(i, i + 1) for i in range(0, n, 2)]
-    return [(i, i + 1) for i in range(1, n - 1, 2)] + [(n - 1, 0)]
-
-
 # ---------------------------------------------------------------------------
 # Clause gadget
 
@@ -237,9 +227,6 @@ class GadgetInstance:
     def blue_count(self) -> int:
         return self.provenance["blueCount"]
 
-    def blues(self) -> PointSet:
-        return PointSet(self.points.points[: self.blue_count])
-
 
 def _lattice_gaps(pts: Sequence[tuple[int, int]], segments, k: int):
     """The points of the step-k lattice in the bounding box of `pts`, x-major,
@@ -337,18 +324,6 @@ def build_gadget(
     return GadgetInstance(
         PointSet.from_tuples(pts), segments, prov
     )
-
-
-def red_vertical_pairs(g: GadgetInstance) -> list[tuple[int, int]]:
-    """The index pairs of the fill's vertical red matching: every odd-row
-    red is the one-unit-down copy of the red directly above it."""
-    pos = {(p.x, p.y): i for i, p in enumerate(g.points)}
-    pairs = []
-    for i, p in enumerate(g.points):
-        if p.color is Color.RED and p.y % 2 == 1:
-            j = pos[(p.x, p.y + 1)]
-            pairs.append((min(i, j), max(i, j)))
-    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +567,6 @@ def compile_planar_1in3(f: Formula) -> GadgetInstance:
     if n > 200 * max(1, size):
         raise ContractError(f"grid bound {n} exceeds the linear budget for size {size}")
     return g
-
-
-def forced_variable_pairs(g: GadgetInstance, assignment: dict[str, bool]):
-    """Global index pairs pinning every variable boundary to its 0- or
-    1-matching under the given assignment (for clause truth-table tests)."""
-    pairs = []
-    for v, meta in g.provenance["variables"].items():
-        base, deg = meta["start"], meta["degree"]
-        for i, j in variable_matching_pairs(deg, assignment[v]):
-            pairs.append((base + i, base + j))
-    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,9 @@ class Matching:
         object.__setattr__(self, "pairs", canon)
         used = [i for p in canon for i in p]
         if len(used) != len(set(used)):
+            for i, j in canon:
+                if i == j:
+                    raise ValueError(f"pair [{i}, {j}] repeats point {i}")
             raise ValueError("a point appears in more than one pair")
 
     def __len__(self) -> int:
@@ -717,4 +720,7 @@ def matching_from_dict(d: dict) -> Matching:
             raise ValueError(
                 f"matching key 'pairs' must hold [i, j] pairs of point "
                 f"indices, got {p!r}")
+    if mode not in {m.value for m in MatchMode}:
+        raise ValueError(f"matching key 'mode' must be 'monochromatic' or "
+                         f"'bichromatic', got {mode!r}")
     return Matching(tuple(map(tuple, pairs)), MatchMode(mode))

@@ -1,16 +1,19 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the points' exact `Fraction` coordinates, except these three:
-`conflicts_naive` checks the oracle's containers of chosen rank boxes,
-`antichain_by_kuhn` checks `max_antichain` on a given order, and
-`layout_naive` checks `build_layout` one clause pair at a time."""
+work on the points' exact `Fraction` coordinates, except these four:
+`empty_pairs_scan` checks `empty_pairs` on sets too large for the cubic
+`empty_pairs_naive`, `conflicts_naive` checks the oracle's containers of
+chosen rank boxes, `antichain_by_kuhn` checks `max_antichain` on a given
+order, and `layout_naive` checks `build_layout` one clause pair at a
+time."""
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
 from rectmatch.errors import ContractError, GuardError
-from rectmatch.gadgets import Formula
+from rectmatch.gadgets import Formula, GadgetInstance
 from rectmatch.geometry import (
+    Color,
     IntersectionKind,
     PointSet,
     Rect,
@@ -73,8 +76,8 @@ def classify_exact(s: PointSet, r1: tuple[int, int], r2: tuple[int, int]) -> Int
 
 
 def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
-    """Reference quadratic-pairs filter on the exact coordinates; used to
-    cross-check the sweep."""
+    """Every pair tested against every third point, on the exact
+    coordinates: O(n^3)."""
     out = []
     n = len(s)
     for i in range(n):
@@ -86,6 +89,60 @@ def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
             ):
                 out.append((i, j))
     return out
+
+
+def empty_pairs_scan(s: PointSet) -> list[tuple[int, int]]:
+    """`empty_pairs` of s by the same window rule, each anchor stepping
+    through every later point in (x, y) order of the ranks until one level
+    with it; its window is the y ranks [lo, hi).  It takes O(n^2) steps,
+    so it is the reference on sets too large for `empty_pairs_naive`."""
+    xr, yr = s._ranks
+    order = sorted(range(len(s)), key=lambda k: (xr[k], yr[k]))
+    xs = [xr[k] for k in order]
+    ys = [yr[k] for k in order]
+    n = len(order)
+    out: list[tuple[int, int]] = []
+    if n < 2:
+        return out
+    top = max(ys) + 1
+    xs.append(-1)  # the last point has no column successor
+    for pos in range(n):
+        i, py = order[pos], ys[pos]
+        lo = ys[pos - 1] + 1 if pos and xs[pos - 1] == xs[pos] else 0
+        hi = top
+        for q in range(pos + 1, n):
+            qy = ys[q]
+            if qy >= py:
+                if qy < hi:
+                    j = order[q]
+                    out.append((i, j) if i < j else (j, i))
+                    if qy == py:
+                        break
+                    hi = qy
+            elif qy >= lo:
+                if xs[q + 1] != xs[q] or ys[q + 1] > py:
+                    j = order[q]
+                    out.append((i, j) if i < j else (j, i))
+                lo = qy + 1
+    out.sort()
+    return out
+
+
+def square_symmetries(s: PointSet) -> list[PointSet]:
+    """s under each of the eight symmetries of the square, the maps
+    (x, y) -> (+-x, +-y) and (x, y) -> (+-y, +-x), the identity first."""
+    return [
+        PointSet.from_tuples(
+            ((sx * p.y, sy * p.x) if swap else (sx * p.x, sy * p.y)) + (p.color,)
+            for p in s)
+        for swap in (False, True) for sx in (1, -1) for sy in (1, -1)
+    ]
+
+
+def recolored(s: PointSet) -> PointSet:
+    """s with red and blue swapped."""
+    swap = {Color.RED: Color.BLUE, Color.BLUE: Color.RED}
+    return PointSet.from_tuples((p.x, p.y, swap[p.color]) for p in s)
 
 
 def checked_family(base: PointSet, rects: Iterable[Rect]) -> RectFamily:
@@ -405,3 +462,44 @@ def layout_naive(f: Formula) -> tuple[dict, dict]:
                 raise ValueError(f"clauses {middles} both pass through {v!r}")
             slot_order[(v, side)] = right_enders + middles + left_enders
     return levels, slot_order
+
+
+# ---------------------------------------------------------------------------
+# Known matchings of the gadgets, which the hardness tests force or look for.
+
+def blue_points(g: GadgetInstance) -> PointSet:
+    """The blue points of g, which come before its red fill."""
+    return PointSet(g.points.points[: g.blue_count])
+
+
+def variable_matching_pairs(degree: int, assignment: bool) -> list[tuple[int, int]]:
+    """Local index pairs of the gadget's two perfect matchings: the
+    1-matching pairs point i with i+1 for odd i (1-based), the 0-matching
+    for even i, indices cyclic."""
+    n = 6 * degree + 4
+    if assignment:
+        return [(i, i + 1) for i in range(0, n, 2)]
+    return [(i, i + 1) for i in range(1, n - 1, 2)] + [(n - 1, 0)]
+
+
+def forced_variable_pairs(g: GadgetInstance, assignment: dict[str, bool]):
+    """Global index pairs pinning every variable boundary to its 0- or
+    1-matching under the given assignment (for clause truth-table tests)."""
+    pairs = []
+    for v, meta in g.provenance["variables"].items():
+        base, deg = meta["start"], meta["degree"]
+        for i, j in variable_matching_pairs(deg, assignment[v]):
+            pairs.append((base + i, base + j))
+    return pairs
+
+
+def red_vertical_pairs(g: GadgetInstance) -> list[tuple[int, int]]:
+    """The index pairs of the fill's vertical red matching: every odd-row
+    red is the one-unit-down copy of the red directly above it."""
+    pos = {(p.x, p.y): i for i, p in enumerate(g.points)}
+    pairs = []
+    for i, p in enumerate(g.points):
+        if p.color is Color.RED and p.y % 2 == 1:
+            j = pos[(p.x, p.y + 1)]
+            pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)

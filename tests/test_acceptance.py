@@ -42,15 +42,20 @@ from rectmatch.gadgets import (
     build_gadget,
     compile_planar_1in3,
     eval_one_in_three,
-    forced_variable_pairs,
     formula_from_dict,
     one_in_three_satisfiable,
     random_instance,
-    red_vertical_pairs,
     variable_gadget,
 )
 
-from naive import brute_force_mis, gpc_alpha, is_general_position, order_violation
+from naive import (
+    brute_force_mis,
+    forced_variable_pairs,
+    gpc_alpha,
+    is_general_position,
+    order_violation,
+    red_vertical_pairs,
+)
 
 K = IntersectionKind
 BIG = 10 ** 7

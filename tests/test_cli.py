@@ -133,7 +133,12 @@ class TestSolveVerifyOracle:
     @pytest.mark.parametrize("doc, field", [
         ({"mode": "monochromatic", "pairs": 5}, "'pairs'"),
         ([[0, 1]], "matching must be a JSON object"),
-    ], ids=["pairs-not-a-list", "document-not-an-object"])
+        ({"mode": "foo", "pairs": [[0, 1]]},
+         "key 'mode' must be 'monochromatic' or 'bichromatic', got 'foo'"),
+        ({"mode": "monochromatic", "pairs": [[0, 0]]},
+         "pair [0, 0] repeats point 0"),
+    ], ids=["pairs-not-a-list", "document-not-an-object", "unknown-mode",
+            "self-pair"])
     def test_verify_malformed_matching(self, tmp_path, capsys, doc, field):
         pts = tmp_path / "p.pts"
         pts.write_text("0 0 B\n1 1 B\n")

@@ -32,20 +32,25 @@ from rectmatch.gadgets import (
     clause_gadget,
     compile_planar_1in3,
     eval_one_in_three,
-    forced_variable_pairs,
     formula_from_dict,
     formula_to_dict,
     monochromatize,
     bichromatize,
     one_in_three_satisfiable,
     random_instance,
-    red_vertical_pairs,
     sidecar_to_dict,
     variable_gadget,
-    variable_matching_pairs,
 )
 
-from naive import comb_conflict, is_general_position, layout_naive
+from naive import (
+    blue_points,
+    comb_conflict,
+    forced_variable_pairs,
+    is_general_position,
+    layout_naive,
+    red_vertical_pairs,
+    variable_matching_pairs,
+)
 
 BIG = 10 ** 7
 
@@ -145,7 +150,7 @@ class TestVariableGadget:
         pts, segs = variable_gadget(d)
         g = build_gadget(pts, segs, {"recipe": "variable", "degree": d})
         assert count_perfect_matchings(
-            g.blues(), MatchMode.MONO, max_points=BIG,
+            blue_points(g), MatchMode.MONO, max_points=BIG,
             allowed_pairs=g.allowed_segments,
         ) == 2
 
@@ -187,7 +192,6 @@ class TestRedFill:
         reds = [i for i, p in enumerate(g.points) if p.color is Color.RED]
         assert sorted(i for pair in pairs for i in pair) == reds
         # the vertical red pairing coexists with a full blue matching
-        from rectmatch.gadgets import variable_matching_pairs
         forced = pairs + variable_matching_pairs(1, True)
         assert decide_perfect(
             g.points, MatchMode.MONO, max_points=BIG, forced_pairs=forced

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rectmatch.geometry as geometry
 from rectmatch.gadgets import (
     bichromatize,
     build_gadget,
@@ -21,8 +20,6 @@ from rectmatch.geometry import (
     PointSet,
     Rect,
     _dense_ranks,
-    _scan_pairs,
-    _sweep_pairs,
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
@@ -38,9 +35,11 @@ from naive import (
     classify_exact,
     dense_ranks_naive,
     empty_pairs_naive,
+    empty_pairs_scan,
     exact_box,
     is_general_position,
     pierces,
+    square_symmetries,
 )
 from strategies import collinear_runs, perturbed, repeated_grid
 
@@ -227,10 +226,7 @@ class TestCandidates:
     @settings(max_examples=60, deadline=None)
     def test_sweep_matches_naive(self, coords):
         s = PointSet.from_tuples((x, y, "B") for x, y in sorted(coords))
-        want = empty_pairs_naive(s)
-        assert empty_pairs(s) == want
-        assert _scan_pairs(s) == want
-        assert _sweep_pairs(s) == want
+        assert empty_pairs(s) == empty_pairs_naive(s)
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
     @settings(max_examples=200, deadline=None)
@@ -238,8 +234,7 @@ class TestCandidates:
         s = PointSet.from_tuples(pts)
         want = empty_pairs_naive(s)
         assert empty_pairs(s) == want
-        assert _scan_pairs(s) == want
-        assert _sweep_pairs(s) == want
+        assert empty_pairs_scan(s) == want
 
 
 def _one_clause_formula():
@@ -277,24 +272,26 @@ def _staircase_beside_a_column():
     _staircase_beside_a_column,
 ], ids=["one-clause", "mono-variable-2", "bi-variable-2", "random-600-on-60",
         "row-600", "column-600", "staircase-beside-a-column"])
-def test_sweep_equals_the_scan_above_the_crossover(make, monkeypatch):
+def test_sweep_equals_the_scan_above_the_crossover(make):
     """On sets of 600 to 1608 points, with rational coordinates, repeated
-    coordinates and collinear runs, the sweep finds the scan's pairs.
-    `empty_pairs` takes the sweep on such a set and the scan on its first
-    `_SWEEP_FROM - 1` points."""
+    coordinates and collinear runs, `empty_pairs` finds the pairs of the
+    quadratic scan."""
     s = make()
-    assert len(s) >= geometry._SWEEP_FROM
-    want = _scan_pairs(s)
-    assert _sweep_pairs(s) == want
-    taken = []
-    for name in ("_scan_pairs", "_sweep_pairs"):
-        found = getattr(geometry, name)
-        monkeypatch.setattr(geometry, name,
-                            lambda s, name=name, found=found: taken.append(name) or found(s))
-    assert empty_pairs(s) == want
-    small = PointSet(s.points[:geometry._SWEEP_FROM - 1])
-    assert empty_pairs(small) == _sweep_pairs(small)
-    assert taken == ["_sweep_pairs", "_scan_pairs"]
+    assert empty_pairs(s) == empty_pairs_scan(s)
+
+
+@given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+@example([(p.x, p.y, p.color)
+          for p in gadget_random_instance(400, 40, 0.5, seed=1)])
+@settings(max_examples=100, deadline=None)
+def test_empty_pairs_invariant_under_the_square_symmetries(pts):
+    """Each symmetry of the square maps closed boxes onto closed boxes, so
+    the empty pairs stay the same index pairs, though the sweep meets the
+    points in another order and applies its column rules on other sides."""
+    s = PointSet.from_tuples(pts)
+    want = empty_pairs(s)
+    for t in square_symmetries(s):
+        assert empty_pairs(t) == want
 
 
 class TestPerturb:

@@ -53,7 +53,13 @@ from rectmatch.matching import (
     with_oracle,
 )
 
-from naive import brute_force_mis, conflicts_naive, matching_sizes_naive
+from naive import (
+    brute_force_mis,
+    conflicts_naive,
+    matching_sizes_naive,
+    recolored,
+    square_symmetries,
+)
 
 K = IntersectionKind
 
@@ -577,6 +583,22 @@ def test_solvers_invariant_under_monotone_recoordinatisation(s):
     t = recoordinatised(s)
     assert approx_mmrm(t).matching.pairs == approx_mmrm(s).matching.pairs
     assert approx_mbrm(t).matching.pairs == approx_mbrm(s).matching.pairs
+
+
+@given(solver_inputs(max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_oracle_invariant_under_the_square_symmetries(s):
+    """The maximum matching's size in both modes and the count of perfect
+    matchings stay the same under the eight symmetries of the square, with
+    and without the colors swapped; each reorders the coordinates, so the
+    oracle meets other tie-breaks."""
+    def answers(u):
+        return [(len(brute_force_max_matching(u, mode)),
+                 count_perfect_matchings(u, mode)) for mode in MatchMode]
+    want = answers(s)
+    for t in square_symmetries(s):
+        assert answers(t) == want
+        assert answers(recolored(t)) == want
 
 
 def _outcome(call):
