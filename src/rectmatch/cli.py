@@ -22,6 +22,7 @@ from rectmatch.matching import (
     brute_force_max_matching,
     decide_perfect,
     matching_from_dict,
+    matching_to_dict,
     report_to_json,
     verify_matching,
     with_oracle,
@@ -98,11 +99,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _load_matching(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return matching_from_dict(json.load(fh))
+
+
 def cmd_verify(args) -> int:
     s = load_points(args.points)
-    with open(args.matching, "r", encoding="utf-8") as fh:
-        m = matching_from_dict(json.load(fh))
-    report = verify_matching(s, m)
+    report = verify_matching(s, _load_matching(args.matching))
     print(report)
     return 0 if report.ok else 1
 
@@ -119,13 +123,7 @@ def cmd_oracle(args) -> int:
     except GuardError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
-    out = {
-        "mode": mode.value,
-        "algorithm": "brute_force",
-        "pairs": [list(p) for p in m.pairs],
-        "size": len(m),
-    }
-    _write(args.out, json.dumps(out, indent=2) + "\n")
+    _write(args.out, json.dumps(matching_to_dict(m, "brute_force"), indent=2) + "\n")
     return 0
 
 
@@ -147,20 +145,17 @@ def cmd_bench(args) -> int:
         seed = args.seed + t
         s = gadgets.random_instance(args.n, args.grid, args.red_fraction, seed)
         for mode_name in modes:
-            mode = _mode(mode_name)
-            report = _approx(s, mode)
-            opt_text = ratio_text = ""
+            report = _approx(s, _mode(mode_name))
             try:
-                opt = brute_force_max_matching(s, mode, max_points=args.guard)
+                with_oracle(s, report, guard=args.guard)
             except GuardError:
                 pass
-            else:
-                opt_text = str(len(opt))
-                if len(opt):
-                    ratio_text = f"{len(report.matching) / len(opt):.4f}"
+            # csv writes None as an empty field, so a refused oracle leaves
+            # `opt` blank, as it leaves `ratio`.
             rows.append([
                 seed, len(s), mode_name, report.candidate_count,
-                len(report.matching), opt_text, ratio_text,
+                len(report.matching), report.optimal_size,
+                "" if report.ratio is None else f"{float(report.ratio):.4f}",
             ])
     rows.sort(key=lambda r: (r[0], r[2]))
     buf = io.StringIO()
@@ -173,10 +168,7 @@ def cmd_bench(args) -> int:
 
 def cmd_render(args) -> int:
     s = load_points(args.points)
-    matching = None
-    if args.matching:
-        with open(args.matching, "r", encoding="utf-8") as fh:
-            matching = matching_from_dict(json.load(fh))
+    matching = _load_matching(args.matching) if args.matching else None
     _write(args.out, render_svg(s, matching))
     return 0
 

@@ -52,7 +52,7 @@ def random_instance(n: int, grid_n: int, red_fraction: float, seed: int) -> Poin
     pts = []
     for cell in chosen:
         x, y = divmod(cell, grid_n + 1)
-        color = "R" if rng.random() < red_fraction else "B"
+        color = Color.RED if rng.random() < red_fraction else Color.BLUE
         pts.append((x, y, color))
     return PointSet.from_tuples(pts)
 
@@ -312,8 +312,8 @@ def build_gadget(
         shift_y = -4 * (min_y // 4)
     else:
         shift_x = shift_y = 0
-    pts = [(x + shift_x, y + shift_y, "B") for x, y in blues4]
-    pts += [(x + shift_x, y + shift_y, "R") for x, y in reds4]
+    pts = [(x + shift_x, y + shift_y, Color.BLUE) for x, y in blues4]
+    pts += [(x + shift_x, y + shift_y, Color.RED) for x, y in reds4]
     n = max((max(x, y) for x, y, _ in pts), default=0)
     prov = dict(provenance or {})
     prov.update({

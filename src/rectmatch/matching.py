@@ -275,12 +275,13 @@ class _ChosenMask:
     Bit k of `incident[p]` is set iff point p defines candidate k, and bit
     v of `conf[u]` iff candidates u and v meet.  Two candidates that share
     a defining point meet, as `_meet` would find: the point lies in both
-    boxes.  So their bits come from the points' incidence masks, and
-    `_meet` decides only the pairs that `geometry._dominance` reports to
-    overlap whose bit is not set yet.  A chosen candidate's mask holds
-    both of its points' incidence masks, so with `leave` every candidate
-    of a used point is in `blocked`.  `append` and `leave` save `blocked`
-    before they OR in a mask, so `pop` restores it last in, first out."""
+    boxes.  So do two that `geometry._dominance` reports comparable: one
+    pierces the other.  Their bits come from the incidence and comparable
+    masks, and `_meet` decides only the other overlapping pairs, as in
+    `pairwise_kinds`.  A chosen candidate's mask holds both of its points'
+    incidence masks, so with `leave` every candidate of a used point is in
+    `blocked`.  `append` and `leave` save `blocked` before they OR in a
+    mask, so `pop` restores it last in, first out."""
 
     __slots__ = ("conf", "incident", "blocked", "saved")
 
@@ -289,8 +290,10 @@ class _ChosenMask:
         for k, r in enumerate(rects):
             incident[r.a] |= 1 << k
             incident[r.b] |= 1 << k
-        conf = [incident[r.a] | incident[r.b] for r in rects]
-        unknown = [m & ~conf[u] for u, _, _, m in _dominance(rects)]
+        conf, unknown = [], []
+        for r, (_, above, below, overlap) in zip(rects, _dominance(rects)):
+            conf.append(incident[r.a] | incident[r.b] | above | below)
+            unknown.append(overlap & ~conf[-1])
         for u, v in _classify(grid, rects, unknown):
             conf[u] |= 1 << v
             conf[v] |= 1 << u
@@ -659,14 +662,12 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     """Check a claimed matching: pair validity and candidacy, the color rule
     of its mode, pairwise disjointness of the spanned rectangles, and report
     whether it is perfect.  Failures are recorded with witnesses, never
-    raised.
+    raised.  A pair (i, j) has i < j, as `Matching` keeps it, so it is
+    valid when i >= 0 and j < len(s).
 
     Disjointness is decided by `intersection_kinds` on the rectangles of
     the valid pairs."""
-    bad_index = tuple(
-        (i, j) for i, j in m.pairs
-        if not (0 <= i < len(s) and 0 <= j < len(s) and i != j)
-    )
+    bad_index = tuple((i, j) for i, j in m.pairs if i < 0 or j >= len(s))
     bad = set(bad_index)
     valid_pairs = [p for p in m.pairs if p not in bad]
     empty = set(empty_pairs(s))
@@ -693,12 +694,14 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     )
 
 
+def matching_to_dict(m: Matching, algorithm: str) -> dict:
+    return {"mode": m.mode.value, "algorithm": algorithm,
+            "pairs": [list(p) for p in m.pairs], "size": len(m)}
+
+
 def report_to_dict(report: SolveReport) -> dict:
     return {
-        "mode": report.matching.mode.value,
-        "algorithm": report.algorithm,
-        "pairs": [list(p) for p in report.matching.pairs],
-        "size": len(report.matching),
+        **matching_to_dict(report.matching, report.algorithm),
         "optimal": report.optimal_size,
         "candidateCount": report.candidate_count,
         "familySizes": list(report.family_sizes),

@@ -103,6 +103,15 @@ class TestSolveVerifyOracle:
         assert code == 0
         assert "pass" in out
 
+    def test_solve_oracle_skipped_above_guard(self, tmp_path, capsys):
+        pts = tmp_path / "big.pts"
+        pts.write_text("".join(f"{i} {i} B\n" for i in range(20)))
+        code, out, err = run(capsys, "solve", str(pts), "--mode", "mono",
+                             "--with-oracle")
+        assert code == 0
+        assert err.startswith("oracle skipped: 20 points exceeds")
+        assert json.loads(out)["optimal"] is None
+
     def test_verify_bad_matching(self, tmp_path, capsys):
         pts = tmp_path / "p.pts"
         pts.write_text("0 0 B\n3 3 B\n1 1 B\n2 2 B\n")

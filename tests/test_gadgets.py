@@ -219,6 +219,11 @@ class TestRedFill:
             build_gadget(blues, segments, {})
         assert str(excinfo.value) == message
 
+    def test_empty_layout(self):
+        g = build_gadget([], [])
+        assert len(g.points) == 0 and g.allowed_segments == ()
+        assert g.provenance == {"blueCount": 0, "gridN": 0, "shift": [0, 0]}
+
     def test_non_integer_rejected(self):
         from fractions import Fraction
         with pytest.raises(ValueError):
@@ -444,6 +449,13 @@ class TestBichromatize:
         g = self.micro()
         assert decide_perfect(bichromatize(g), MatchMode.BI, max_points=BIG)
 
+    def test_odd_cycle_rejected(self):
+        # A five-cycle of segments cannot give each one a single red end.
+        g = build_gadget([(0, 0), (4, 0), (8, 0), (8, 4), (0, 4)],
+                         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        with pytest.raises(ContractError, match="odd cycle"):
+            bichromatize(g)
+
     def test_imperfectness_preserved(self):
         g = build_gadget(
             MICRO_BLUES + [(3, 0), (3, 1), (0, 3)],
@@ -617,9 +629,12 @@ def _clause(names, side="above"):
      "anchors must be in increasing x order"),
     (lambda: variable_gadget(0), "degree must be at least 1"),
     (lambda: random_instance(4, 5, 1.5, seed=0), "red_fraction must be in [0, 1]"),
+    (lambda: _anchor(2, "left"), "side must be 'above' or 'below', got 'left'"),
+    (lambda: formula_from_dict({"variables": ["u", 1], "clauses": []}),
+     "formula key 'variables' must hold names, got 1"),
 ], ids=["duplicate-name", "repeated-variable", "unknown-variable", "bad-side",
         "two-anchors", "mixed-sides", "two-edge-lines", "x-out-of-order",
-        "degree-0", "red-fraction"])
+        "degree-0", "red-fraction", "anchor-side", "variable-not-a-name"])
 def test_validation_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
