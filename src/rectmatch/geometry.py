@@ -6,12 +6,12 @@ by order only, so inside the solver a rectangle is a box of integer ranks:
 each `PointSet` ranks its x and y coordinates once, and a `Rect`'s bounds
 are the ranks of its two defining points' coordinates.  Rectangles are
 *closed* boxes, so a point on the boundary counts as contained.
-Which boxes of a family overlap is read off bitmasks of its members:
-prefix and suffix masks over each of the four bounds (`_bound_masks`,
-`_dominance`).  `intersection_kinds`, the family stages of
-`independent_set` and the exact oracle's conflict masks all enumerate
-overlaps this way, and `_meet` classifies the pairs;
-`classify_intersection` runs the same rule on one pair.
+Which boxes of a family overlap, pierce one another or meet at a corner is
+read off bitmasks of its members: prefix and suffix masks over each of
+the four bounds (`_bound_masks`, `_dominance`).  `intersection_kinds`, the
+family stages of `independent_set` and the exact oracle's conflict masks
+all enumerate overlaps this way, and `_meet` classifies the pairs that the
+masks leave open; `classify_intersection` runs the same rule on one pair.
 The candidate rectangles are those of the empty pairs, the pairs of points
 whose box holds no third point.  `empty_pairs` finds them in one sweep over
 the points in (x, y) order, which jumps to each next point through a
@@ -270,7 +270,7 @@ def intersection_kinds(
     disjoint.  `_meet` classifies each pair that `_dominance` reports to
     overlap, piercing pairs included: the all-pairs reference for the
     family stages, which skip the piercing pairs."""
-    return _classify(s._rank_grid, rects, (m for _, _, _, m in _dominance(rects)))
+    return _classify(s._rank_grid, rects, (m for _, _, _, m, _ in _dominance(rects)))
 
 
 def _classify(
@@ -319,22 +319,29 @@ def _bound_masks(rects: Sequence[Rect]) -> list[tuple[list[int], list[int]]]:
             for b in buckets]
 
 
-def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
+def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int, int]]:
     """Per rank box u of `rects` in order: u, the bitmask of the boxes that
-    pierce u, that of the boxes that u pierces, and that of the boxes whose
-    projections both overlap u's; each holds u itself.  These are the only
-    pairs that `_meet` can find to meet.
+    pierce u, that of the boxes that u pierces, that of the boxes whose
+    projections both overlap u's (these three hold u itself, and only these
+    boxes can meet u), and that of the boxes that meet u at a corner.
 
     Piercing is coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin,
     ymax), so each mask is the intersection of four prefix or suffix masks
     of `_bound_masks`.  Two boxes pierce one another exactly when they are
-    equal."""
+    equal.  The corner mask is the boxes that overlap u with positive area,
+    read at the ranks next to u's bounds, less the comparable ones and the
+    boxes of zero width or height.  On empty rectangles these are the pairs
+    that `_meet` calls CORNER: a point of the set on the closed box of an
+    empty rectangle is one of its defining points, so each box of such a
+    pair has one corner strictly inside the other, and no point there."""
     (x1le, x1ge), (x2le, x2ge), (y1le, y1ge), (y2le, y2ge) = _bound_masks(rects)
+    flat = sum(1 << k for k, r in enumerate(rects) if r[0] == r[1] or r[2] == r[3])
     for u, (x1, x2, y1, y2, _, _) in enumerate(rects):
-        yield (u,
-               x1ge[x1] & x2le[x2] & y1le[y1] & y2ge[y2],
-               x1le[x1] & x2ge[x2] & y1ge[y1] & y2le[y2],
-               x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1])
+        above = x1ge[x1] & x2le[x2] & y1le[y1] & y2ge[y2]
+        below = x1le[x1] & x2ge[x2] & y1ge[y1] & y2le[y2]
+        corner = (x1le[x2 - 1] & x2ge[x1 + 1] & y1le[y2 - 1] & y2ge[y1 + 1]
+                  & ~(above | below | flat)) if x1 < x2 and y1 < y2 else 0
+        yield u, above, below, x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1], corner
 
 
 # `empty_pairs` tests this many later points one by one before it asks its

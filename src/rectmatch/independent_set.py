@@ -9,18 +9,18 @@ computed by minimum chain cover), while point contacts are handled later by
 a two-coloring of what remains.  The exact independent-set oracle that
 checks these stages is test-side, in `tests/naive.py`.
 
-Piercing is a dominance order on the members' rank boxes, so a family's
-piercing pairs are never listed one by one: bitmasks of the members,
-prefix and suffix masks over each bound of the boxes
+Piercing is a dominance order on the members' rank boxes, and on empty
+rectangles a corner pair is a pair that overlaps with positive area and is
+not comparable.  So neither is listed pair by pair: bitmasks of the
+members, prefix and suffix masks over each bound of the boxes
 (`geometry._dominance`), give every member the members that pierce it,
-that it pierces and that overlap it.  Only the overlapping pairs that are
-not comparable are classified, and these corner, point and side pairs grow
-about linearly with the family.  They are kept on the family, and the
-sub-families that `RectFamily.restrict` makes (the survivors of corner
-elimination, the chosen antichain) inherit them, so the completeness
-check, corner elimination and the contact graph read one structure and
-nothing is classified twice.  The piercing order stays in bitmasks, and
-the chain cover runs on them.
+that it pierces, that overlap it and that meet it at a corner.  The
+completeness check and corner elimination walk a family's corner masks,
+computed once per family, and the piercing order checks its family for
+corners in the pass that builds it.  Only the contact graph of the chosen
+antichain classifies pairs with `_meet`: the overlapping pairs that are not
+comparable.  The piercing order stays in bitmasks, and the chain cover
+runs on them.
 """
 from __future__ import annotations
 
@@ -59,24 +59,16 @@ class RectFamily:
         return frozenset(r.key for r in self.rects)
 
     @cached_property
-    def _kinds(self) -> dict[tuple[int, int], IntersectionKind]:
-        """`pairwise_kinds(self)`, the non-piercing intersecting pairs,
-        computed once per family."""
-        return pairwise_kinds(self)
+    def _corners(self) -> list[int]:
+        """Per member, the bitmask of the members that meet it at a corner
+        (`geometry._dominance`); `corner_elimination` takes it off the family."""
+        return [corner for *_, corner in _dominance(self.rects)]
 
     def restrict(self, indices: Sequence[int]) -> "RectFamily":
         """The sub-family of the members at the ascending `indices`.  It
-        cannot hold a duplicate, so it skips the check of `__post_init__`.
-        Once this family's non-piercing kinds are known, the sub-family
-        inherits them instead of classifying its pairs again."""
+        cannot hold a duplicate, so it skips the check of `__post_init__`."""
         sub = object.__new__(RectFamily)
         sub.__dict__.update(base=self.base, rects=tuple(self.rects[i] for i in indices))
-        if "_kinds" in self.__dict__:
-            new = {old: k for k, old in enumerate(indices)}
-            sub.__dict__["_kinds"] = {
-                (new[u], new[v]): kind for (u, v), kind in self._kinds.items()
-                if u in new and v in new
-            }
         return sub
 
 
@@ -122,46 +114,48 @@ def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
     `_meet` classifies only the overlapping pairs that are not
     comparable."""
     return _classify(f.base._rank_grid, f.rects, (
-        overlap & ~(above | below) for _, above, below, overlap in _dominance(f.rects)))
+        overlap & ~(above | below) for _, above, below, overlap, _ in _dominance(f.rects)))
 
 
 def build_graph(f: RectFamily) -> IntersectionGraph:
     """The contact graph of the family: its corner, point and side pairs
-    with their kinds, in sorted order, read from `f._kinds`, which a
-    sub-family made by `restrict` inherits.  The piercing pairs are left
-    out: they form the order of `piercing_order`, and the contact graph is
-    built on an antichain of it, which has none."""
+    with their kinds, in sorted order (`pairwise_kinds`).  The piercing
+    pairs are left out: they form the order of `piercing_order`, and the
+    contact graph is built on an antichain of it, which has none, so only
+    its contacts are classified."""
     return IntersectionGraph(len(f.rects), tuple(
-        (u, v, kind) for (u, v), kind in f._kinds.items()))
+        (u, v, kind) for (u, v), kind in pairwise_kinds(f).items()))
 
 
-def _crossing_keys(f: RectFamily, u: int, v: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """For a corner-intersecting pair, the defining pairs of the two
+def _left_right(f: RectFamily) -> list[tuple[int, int]]:
+    """Per member, its defining points, the one of lesser (x, y) rank first."""
+    xr, yr = f.base._ranks
+    return [(r.a, r.b) if (xr[r.a], yr[r.a]) <= (xr[r.b], yr[r.b]) else (r.b, r.a)
+            for r in f.rects]
+
+
+def _crossing_keys(ends_u, ends_v) -> tuple[tuple[int, int], tuple[int, int]]:
+    """For a corner-intersecting pair, given each one's left and right
+    defining points (`_left_right`), the defining pairs of the two
     rectangles that cross through the shared region: left point of one with
     right point of the other."""
-    xr, yr = f.base._ranks
-
-    def left_right(r: Rect) -> tuple[int, int]:
-        if (xr[r.a], yr[r.a]) <= (xr[r.b], yr[r.b]):
-            return r.a, r.b
-        return r.b, r.a
-
-    l1, r1 = left_right(f.rects[u])
-    l2, r2 = left_right(f.rects[v])
+    (l1, r1), (l2, r2) = ends_u, ends_v
     k1 = (l1, r2) if l1 < r2 else (r2, l1)
     k2 = (l2, r1) if l2 < r1 else (r1, l2)
     return k1, k2
 
 
 def complete_witness(f: RectFamily) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """A corner pair missing one of its crossing rectangles, or None."""
+    """The first corner pair (u, v), u < v, missing one of its crossing
+    rectangles, with the missing key, or None."""
     keys = f.keys()
-    for (u, v), kind in f._kinds.items():
-        if kind is IntersectionKind.CORNER:
-            k1, k2 = _crossing_keys(f, u, v)
+    ends = _left_right(f)
+    for u, mask in enumerate(f._corners):
+        for k in _bits(mask >> (u + 1)):
+            v = u + 1 + k
+            k1, k2 = _crossing_keys(ends[u], ends[v])
             if k1 not in keys or k2 not in keys:
-                missing = k1 if k1 not in keys else k2
-                return (u, v), missing
+                return (u, v), k1 if k1 not in keys else k2
     return None
 
 
@@ -172,11 +166,12 @@ def corner_elimination(f: RectFamily) -> RectFamily:
 
     Deterministic rule: corner pairs are processed in lexicographic order of
     their defining-index pairs, and the rectangle whose defining pair is
-    lexicographically larger is the one dropped.  A drop only kills pairs,
-    so one pass over the pairs in that order, skipping those already dead,
-    drops what rescanning for the least live pair after each drop would.
+    lexicographically larger is the one dropped.  A pair (k, K) comes after
+    every pair that could drop k, so k is alive then exactly when it
+    survives: a member survives exactly when no survivor with a smaller key
+    meets it at a corner.  So the members are visited in key order, and
+    each is kept unless its corner mask meets the survivors so far.
     """
-    kinds = f._kinds
     witness = complete_witness(f)
     if witness is not None:
         (u, v), missing = witness
@@ -184,16 +179,13 @@ def corner_elimination(f: RectFamily) -> RectFamily:
             f"family is not complete: corner pair {f.rects[u].key} / "
             f"{f.rects[v].key} lacks crossing rectangle {missing}"
         )
-    keys = [r.key for r in f.rects]
-    corner_pairs = sorted(
-        (min(keys[u], keys[v]), max(keys[u], keys[v]), u, v)
-        for (u, v), kind in kinds.items() if kind is IntersectionKind.CORNER
-    )
-    alive = [True] * len(f.rects)
-    for _, _, u, v in corner_pairs:
-        if alive[u] and alive[v]:
-            alive[u if keys[u] > keys[v] else v] = False
-    return f.restrict([i for i, live in enumerate(alive) if live])
+    # The caller keeps the family, so its full-width masks leave it here.
+    corners = f.__dict__.pop("_corners")
+    kept = 0
+    for u in sorted(range(len(f.rects)), key=lambda i: f.rects[i].key):
+        if not corners[u] & kept:
+            kept |= 1 << u
+    return f.restrict(list(_bits(kept)))
 
 
 def piercing_order(f: RectFamily) -> PiercingDag:
@@ -202,17 +194,18 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin, ymax), so
     the order is transitive and acyclic by construction; only equal boxes
     pierce both ways, and distinct empty rectangles never have them.  A
-    corner pair or equal boxes raise a ContractError with the pair.
+    corner pair, read off the corner masks of the same `_dominance` pass,
+    or equal boxes raise a ContractError with the first such pair.
     """
     rects = f.rects
-    for (u, v), kind in f._kinds.items():
-        if kind is IntersectionKind.CORNER:
+    above = []
+    for u, m, below, _, corner in _dominance(rects):
+        if corner:
+            v = (corner & -corner).bit_length() - 1
             raise ContractError(
                 f"piercing_order requires a corner-free family; pair "
                 f"{rects[u].key} / {rects[v].key} has a corner intersection"
             )
-    above = []
-    for u, m, below, _ in _dominance(rects):
         twins = (m & below) ^ (1 << u)
         if twins:
             v = (twins & -twins).bit_length() - 1

@@ -275,13 +275,13 @@ class _ChosenMask:
     Bit k of `incident[p]` is set iff point p defines candidate k, and bit
     v of `conf[u]` iff candidates u and v meet.  Two candidates that share
     a defining point meet, as `_meet` would find: the point lies in both
-    boxes.  So do two that `geometry._dominance` reports comparable: one
-    pierces the other.  Their bits come from the incidence and comparable
-    masks, and `_meet` decides only the other overlapping pairs, as in
-    `pairwise_kinds`.  A chosen candidate's mask holds both of its points'
-    incidence masks, so with `leave` every candidate of a used point is in
-    `blocked`.  `append` and `leave` save `blocked` before they OR in a
-    mask, so `pop` restores it last in, first out."""
+    boxes.  So do two that `geometry._dominance` reports comparable, since
+    one pierces the other, and two in its corner masks, which overlap with
+    positive area.  Their bits come from those masks, and `_meet` decides
+    only the other overlapping pairs.  A chosen candidate's mask holds both
+    of its points' incidence masks, so with `leave` every candidate of a
+    used point is in `blocked`.  `append` and `leave` save `blocked`
+    before they OR in a mask, so `pop` restores it last in, first out."""
 
     __slots__ = ("conf", "incident", "blocked", "saved")
 
@@ -291,8 +291,8 @@ class _ChosenMask:
             incident[r.a] |= 1 << k
             incident[r.b] |= 1 << k
         conf, unknown = [], []
-        for r, (_, above, below, overlap) in zip(rects, _dominance(rects)):
-            conf.append(incident[r.a] | incident[r.b] | above | below)
+        for r, (_, above, below, overlap, corner) in zip(rects, _dominance(rects)):
+            conf.append(incident[r.a] | incident[r.b] | above | below | corner)
             unknown.append(overlap & ~conf[-1])
         for u, v in _classify(grid, rects, unknown):
             conf[u] |= 1 << v

@@ -24,6 +24,7 @@ from rectmatch.independent_set import (
     pairwise_kinds,
     piercing_order,
     _crossing_keys,
+    _left_right,
 )
 from rectmatch.matching import (
     MatchMode,
@@ -187,9 +188,10 @@ def _random_complete_family(rng, cap=18):
             fam = RectFamily(s, tuple(rects.get(p) or rect_from_pair(s, *p)
                                       for p in sorted(keys)))
             grown = False
+            ends = _left_right(fam)
             for (u, v), kind in pairwise_kinds(fam).items():
                 if kind is K.CORNER:
-                    for kk in _crossing_keys(fam, u, v):
+                    for kk in _crossing_keys(ends[u], ends[v]):
                         if kk not in keys:
                             keys.add(kk)
                             grown = True

@@ -3,10 +3,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectmatch.errors import ContractError, GuardError
+from rectmatch.gadgets import build_gadget, monochromatize, variable_gadget
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
@@ -68,16 +69,17 @@ def random_points(rng, n, grid):
 
 def close_under_crossings(s, pair_keys, cap=40):
     """Repeatedly add the crossing rectangles of corner pairs."""
-    from rectmatch.independent_set import _crossing_keys
+    from rectmatch.independent_set import _crossing_keys, _left_right
 
     keys = set(pair_keys)
     while True:
         fam = family(s, sorted(keys))
         kinds = pairwise_kinds(fam)
+        ends = _left_right(fam)
         added = False
         for (u, v), k in kinds.items():
             if k is K.CORNER:
-                for kk in _crossing_keys(fam, u, v):
+                for kk in _crossing_keys(ends[u], ends[v]):
                     if kk not in keys:
                         keys.add(kk)
                         added = True
@@ -94,6 +96,11 @@ CROSS_POINTS = [
     (2, 0, "B"), (6, 5, "B"),      # lower-right box, corner intersection
 ]
 CROSS_PAIRS = [(0, 1), (2, 3), (0, 3), (2, 1)]
+
+# The one-coloured recolouring of a degree-1 variable gadget: 754 points,
+# whose empty-pair family has 1040 corner pairs.
+GADGET_POINTS = [(p.x, p.y, p.color) for p in monochromatize(
+    build_gadget(*variable_gadget(1), {"recipe": "variable"}))]
 
 
 class TestChecked:
@@ -178,9 +185,11 @@ class TestVerifyComplete:
         assert complete_witness(family(s, CROSS_PAIRS)) is None
 
     def test_missing_crossing_detected(self):
+        # The witness is the corner pair of members 0 and 1 and the key of
+        # the first crossing rectangle it lacks.
         s = ps(*CROSS_POINTS)
-        assert complete_witness(family(s, CROSS_PAIRS[:3])) is not None
-        assert complete_witness(family(s, [(0, 1), (2, 3)])) is not None
+        assert complete_witness(family(s, CROSS_PAIRS[:3])) == ((0, 1), (1, 2))
+        assert complete_witness(family(s, [(0, 1), (2, 3)])) == ((0, 1), (0, 3))
 
 
 class TestCornerElimination:
@@ -261,7 +270,9 @@ class TestPiercingOrder:
 
     def test_corner_pair_rejected(self):
         s = ps(*CROSS_POINTS)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=re.escape(
+                "piercing_order requires a corner-free family; pair "
+                "(0, 1) / (2, 3) has a corner intersection")):
             piercing_order(family(s, [(0, 1), (2, 3)]))
 
     def test_equal_boxes_rejected(self):
@@ -464,8 +475,8 @@ class TestSparseKinds:
     comparable in the dominance order; it must agree with classifying
     every pair one at a time, which agrees with the exact `Fraction`
     rectangles (`test_rank_classification_equals_exact`), less the piercing
-    pairs.  A restricted family must inherit exactly the kinds it would
-    compute itself."""
+    pairs.  The contact graph of a restricted family, which classifies its
+    own pairs, must hold exactly those of its members."""
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
            st.booleans(), st.randoms(use_true_random=False))
@@ -477,7 +488,7 @@ class TestSparseKinds:
         kinds = pairwise_kinds(f)
         assert kinds == non_piercing(dense)
         assert list(kinds) == sorted(kinds)
-        build_graph(f)  # keeps the kinds on f
+        assert build_graph(f).edges == tuple((u, v, k) for (u, v), k in kinds.items())
         keep = sorted(rnd.sample(range(len(f)), rnd.randrange(len(f) + 1)))
         sub = f.restrict(keep)
         assert build_graph(sub).edges == tuple(
@@ -505,6 +516,20 @@ class TestSparseKinds:
                     b = exact_box(g.base, *g.rects[v].key)
                     arcs.add((u, v) if pierces(a, b) else (v, u))
             assert piercing_order(g).arcs == arcs
+
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+    @example(GADGET_POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_corner_masks_are_the_corner_pairs(self, pts):
+        """On the empty-pair family, the corner masks of `_dominance` hold
+        exactly the pairs that `intersection_kinds` calls CORNER."""
+        f = all_empty_family(PointSet.from_tuples(pts))
+        want = [0] * len(f)
+        for (u, v), k in intersection_kinds(f.base, f.rects).items():
+            if k is K.CORNER:
+                want[u] |= 1 << v
+                want[v] |= 1 << u
+        assert f._corners == want
 
     def test_missing_pair_means_disjoint(self):
         s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 import rectmatch.matching as matching_module
 from rectmatch.errors import GuardError
 from rectmatch.gadgets import (
+    bichromatize,
+    build_gadget,
     compile_planar_1in3,
     formula_from_dict,
+    monochromatize,
     one_in_three_satisfiable,
     random_instance as gadget_random_instance,
+    variable_gadget,
 )
 from rectmatch.geometry import (
     Color,
@@ -542,6 +546,21 @@ class TestReportJson:
         and one with many repeated coordinates, are byte for byte those
         recorded when the chain cover still ran Kuhn's algorithm."""
         text = report_to_json(solve(gadget_random_instance(n, grid, 0.5, seed=1)))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("recolor, solve, digest", [
+        (monochromatize, approx_mmrm, "cab4f301f704acb7"),
+        (monochromatize, approx_mbrm, "02416620e4b94713"),
+        (bichromatize, approx_mmrm, "b916a5e1429e14ff"),
+        (bichromatize, approx_mbrm, "970aeb114793f13a"),
+    ])
+    def test_pinned_output_on_a_recoloured_gadget(self, recolor, solve, digest):
+        """The approximations' reports on both recolourings of a degree-1
+        variable gadget (754 and 506 points, with many corner pairs) are
+        byte for byte those recorded while every family's non-piercing
+        pairs were still classified in full."""
+        g = build_gadget(*variable_gadget(1), {"recipe": "variable"})
+        text = report_to_json(solve(recolor(g)))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
