@@ -50,7 +50,13 @@ def cmd_gen(args) -> int:
     sidecar = None
     if args.random is not None:
         n, grid, red_fraction = args.random
-        s = gadgets.random_instance(int(n), int(grid), float(red_fraction), args.seed)
+        try:
+            n, grid, red_fraction = int(n), int(grid), float(red_fraction)
+        except ValueError:
+            print("gen: --random takes N GRID REDFRAC: two integers and a "
+                  "number, e.g. 10 40 0.5", file=sys.stderr)
+            return 2
+        s = gadgets.random_instance(n, grid, red_fraction, args.seed)
     elif args.blocking:
         s = gadgets.blocking_gadget()
     elif args.variable is not None:

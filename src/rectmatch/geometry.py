@@ -10,8 +10,8 @@ Which boxes of a family overlap, pierce one another or meet at a corner is
 read off bitmasks of its members: prefix and suffix masks over each of
 the four bounds (`_bound_masks`, `_dominance`).  `intersection_kinds`, the
 family stages of `independent_set` and the exact oracle's conflict masks
-all enumerate overlaps this way, and `_meet` classifies the pairs that the
-masks leave open; `classify_intersection` runs the same rule on one pair.
+all read these masks, and `_meet` classifies the pairs that the masks
+leave open; `classify_intersection` runs the same rule on one pair.
 The candidate rectangles are those of the empty pairs, the pairs of points
 whose box holds no third point.  `empty_pairs` finds them in one sweep over
 the points in (x, y) order, which jumps to each next point through a

@@ -15,12 +15,12 @@ not comparable.  So neither is listed pair by pair: bitmasks of the
 members, prefix and suffix masks over each bound of the boxes
 (`geometry._dominance`), give every member the members that pierce it,
 that it pierces, that overlap it and that meet it at a corner.  The
-completeness check and corner elimination walk a family's corner masks,
-computed once per family, and the piercing order checks its family for
-corners in the pass that builds it.  Only the contact graph of the chosen
-antichain classifies pairs with `_meet`: the overlapping pairs that are not
-comparable.  The piercing order stays in bitmasks, and the chain cover
-runs on them.
+completeness check and corner elimination read a family's corner masks,
+computed once per family, with no step per corner pair on a complete
+family, and the piercing order checks its family for corners in the pass
+that builds it.  Only the contact graph of the chosen antichain classifies
+pairs with `_meet`: the overlapping pairs that are not comparable.  The
+piercing order stays in bitmasks, and the chain cover runs on them.
 """
 from __future__ import annotations
 
@@ -147,16 +147,40 @@ def _crossing_keys(ends_u, ends_v) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def complete_witness(f: RectFamily) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """The first corner pair (u, v), u < v, missing one of its crossing
-    rectangles, with the missing key, or None."""
-    keys = f.keys()
+    rectangles, with the missing key, or None.
+
+    The corner masks are symmetric, so the family is complete iff, for
+    each corner pair (u, v) in either order, the rectangle of u's left
+    point and v's right point is a member (`_crossing_keys`).  The boxes of
+    a corner pair overlap with positive width, so u's left point is that
+    rectangle's left point.  So per left point p, `met[p]`, the members
+    met at a corner by a member with left point p, must lie in
+    `crossed[p]`, the members v met at a corner such that some member runs
+    from p to right(v).  That is one mask test per left point; only a
+    family that fails one has its failing pairs listed."""
+    corners = f._corners
+    if not any(corners):
+        return None
     ends = _left_right(f)
-    for u, mask in enumerate(f._corners):
-        for k in _bits(mask >> (u + 1)):
-            v = u + 1 + k
-            k1, k2 = _crossing_keys(ends[u], ends[v])
-            if k1 not in keys or k2 not in keys:
-                return (u, v), k1 if k1 not in keys else k2
-    return None
+    met: dict[int, int] = {}
+    right: dict[int, int] = {}  # per right point, the members met at a corner
+    for v, ((p, q), m) in enumerate(zip(ends, corners)):
+        if m:
+            met[p] = met.get(p, 0) | m
+            right[q] = right.get(q, 0) | 1 << v
+    crossed = dict.fromkeys(met, 0)
+    for p, q in ends:
+        if p in crossed:
+            crossed[p] |= right.get(q, 0)
+    if not any(m & ~crossed[p] for p, m in met.items()):
+        return None
+    # v is a bit of corners[u] & ~crossed[left(u)] iff the pair of u and v
+    # lacks the rectangle (left(u), right(v)).
+    u, v = min((min(u, v), max(u, v)) for u, ((p, _), m) in enumerate(zip(ends, corners))
+               if m for v in _bits(m & ~crossed[p]))
+    keys = f.keys()
+    k1, k2 = _crossing_keys(ends[u], ends[v])
+    return (u, v), k1 if k1 not in keys else k2
 
 
 def corner_elimination(f: RectFamily) -> RectFamily:

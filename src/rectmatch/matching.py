@@ -18,15 +18,16 @@ The search runs on the candidates' `Rect`s, whose bounds are ranks, and
 decides conflicts with the rule that classifies intersections everywhere
 else (`geometry._meet`).  A search that can choose at most a few dozen
 boxes works out once which candidates meet which, as one bitmask per
-candidate, from the overlaps that the bound masks of `geometry._dominance`
-report, so a conflict test is one bit test.  A larger one buckets the
-chosen boxes by cell of the rank grid, so a conflict test reads only the
-boxes near the query, and builds a candidate's `Rect` the first time a
-test or a choice touches it.  The maximum search also prunes with the
-free points that still have a feasible partner.  A small search keeps
-every candidate of a chosen or unmatched point in its blocked mask, so
-that test is one AND per free point.  The search stays exponential in
-the worst case.
+candidate, all read off masks: two empty rectangles meet exactly when
+they share a defining point or `geometry._dominance` reports them
+comparable or meeting at a corner.  So a conflict test is one bit test.
+A larger one buckets the chosen boxes by cell of the rank grid, so a
+conflict test runs `_meet` on the boxes near the query only, and builds
+a candidate's `Rect` the first time a test or a choice touches it.  The
+maximum search also prunes with the free points that still have a
+feasible partner.  A small search keeps every candidate of a chosen or
+unmatched point in its blocked mask, so that test is one AND per free
+point.  The search stays exponential in the worst case.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     Rect,
-    _classify,
     _color_pairs,
     _dominance,
     _json_field,
@@ -246,9 +246,10 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
     `_INDEX_FROM`, else a `_ChosenIndex` over the rank grid whose cell side
     is the median extent of about `_SAMPLE` candidate boxes, taken evenly
     from the pairs in order.  A `_ChosenMask` works out every candidate's
-    `Rect` up front, a `_ChosenIndex` each one the first time it is
-    touched.  Both decide conflicts with `geometry._meet` on the rank grid,
-    the rule that `classify_intersection` and `intersection_kinds` run."""
+    `Rect` up front and reads every conflict off masks, a `_ChosenIndex`
+    builds each one the first time it is touched and decides conflicts
+    with `geometry._meet` on the rank grid, the rule that
+    `classify_intersection` and `intersection_kinds` run."""
     pairs = _color_pairs(s, mode is MatchMode.MONO)
     if allowed_pairs is not None:
         keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
@@ -259,45 +260,39 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
     for k, (i, j) in enumerate(pairs):
         partners[i].append((j, k))
         partners[j].append((i, k))
-    grid = s._rank_grid
     if capacity <= _INDEX_FROM:
         rects = [_rect(xr, yr, i, j) for i, j in pairs]
-        return partners, _ChosenMask(grid, rects, len(s))
+        return partners, _ChosenMask(rects, len(s))
     sample = sorted(max(abs(xr[i] - xr[j]), abs(yr[i] - yr[j]))
                     for i, j in pairs[::len(pairs) // _SAMPLE + 1])
     side = max(1, sample[len(sample) // 2]) if sample else 1
-    return partners, _ChosenIndex(grid, s._ranks, pairs, side)
+    return partners, _ChosenIndex(s._rank_grid, s._ranks, pairs, side)
 
 
 class _ChosenMask:
     """The chosen candidates of a small search, as the bitmask `blocked` of
     the candidates that meet one of them or have a point left unmatched.
-    Bit k of `incident[p]` is set iff point p defines candidate k, and bit
-    v of `conf[u]` iff candidates u and v meet.  Two candidates that share
-    a defining point meet, as `_meet` would find: the point lies in both
-    boxes.  So do two that `geometry._dominance` reports comparable, since
-    one pierces the other, and two in its corner masks, which overlap with
-    positive area.  Their bits come from those masks, and `_meet` decides
-    only the other overlapping pairs.  A chosen candidate's mask holds both
+    The candidates are empty rectangles of a set of `points` points.  Bit k
+    of `incident[p]` is set iff point p defines candidate k, and bit v of
+    `conf[u]` iff candidates u and v meet under `_meet`.  Two empty
+    rectangles meet exactly when they share a defining point, when
+    `geometry._dominance` reports them comparable (one pierces the other),
+    or when they are in its corner masks (they overlap with positive area):
+    a point of the set in a zero-area overlap would lie on both closed
+    boxes, so it would define both.  A chosen candidate's mask holds both
     of its points' incidence masks, so with `leave` every candidate of a
     used point is in `blocked`.  `append` and `leave` save `blocked`
     before they OR in a mask, so `pop` restores it last in, first out."""
 
     __slots__ = ("conf", "incident", "blocked", "saved")
 
-    def __init__(self, grid, rects: Sequence[Rect], points: int):
+    def __init__(self, rects: Sequence[Rect], points: int):
         incident = [0] * points
         for k, r in enumerate(rects):
             incident[r.a] |= 1 << k
             incident[r.b] |= 1 << k
-        conf, unknown = [], []
-        for r, (_, above, below, overlap, corner) in zip(rects, _dominance(rects)):
-            conf.append(incident[r.a] | incident[r.b] | above | below | corner)
-            unknown.append(overlap & ~conf[-1])
-        for u, v in _classify(grid, rects, unknown):
-            conf[u] |= 1 << v
-            conf[v] |= 1 << u
-        self.conf = conf
+        self.conf = [incident[r.a] | incident[r.b] | above | below | corner
+                     for r, (_, above, below, _, corner) in zip(rects, _dominance(rects))]
         self.incident = incident
         self.blocked = 0
         self.saved: list[int] = []

@@ -1,11 +1,12 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the points' exact `Fraction` coordinates, except these four:
+work on the points' exact `Fraction` coordinates, except these five:
 `empty_pairs_scan` checks `empty_pairs` on sets too large for the cubic
 `empty_pairs_naive`, `conflicts_naive` checks the oracle's containers of
-chosen rank boxes, `antichain_by_kuhn` checks `max_antichain` on a given
-order, and `layout_naive` checks `build_layout` one clause pair at a
-time."""
+chosen rank boxes, `complete_witness_naive` checks `complete_witness` one
+corner pair at a time, `antichain_by_kuhn` checks `max_antichain` on a
+given order, and `layout_naive` checks `build_layout` one clause pair at
+a time."""
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
@@ -18,6 +19,7 @@ from rectmatch.geometry import (
     PointSet,
     Rect,
     _Grid,
+    _bits,
     _meet,
     classify_intersection,
     intersection_kinds,
@@ -28,6 +30,8 @@ from rectmatch.independent_set import (
     IntersectionGraph,
     PiercingDag,
     RectFamily,
+    _crossing_keys,
+    _left_right,
 )
 
 
@@ -204,6 +208,21 @@ def conflicts_naive(box, chosen, grid) -> bool:
     """True iff `_meet` finds that box meets one of the chosen rank boxes:
     the oracle's conflict test as a scan over every chosen box."""
     return any(_meet(box, b, grid) is not IntersectionKind.DISJOINT for b in chosen)
+
+
+def complete_witness_naive(f: RectFamily):
+    """`complete_witness` as a walk over the corner pairs (u, v), u < v, of
+    the family's corner masks in order: the first that lacks one of its
+    crossing rectangles, with the missing key, or None."""
+    keys = f.keys()
+    ends = _left_right(f)
+    for u, mask in enumerate(f._corners):
+        for k in _bits(mask >> (u + 1)):
+            v = u + 1 + k
+            k1, k2 = _crossing_keys(ends[u], ends[v])
+            if k1 not in keys or k2 not in keys:
+                return (u, v), k1 if k1 not in keys else k2
+    return None
 
 
 def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:

@@ -68,6 +68,13 @@ class TestGen:
         assert code == 1
         assert err.strip() == message
 
+    @pytest.mark.parametrize("n, grid, red", [("x", "10", "0.5"), ("10", "1.5", "0.5"),
+                                              ("10", "10", "half")])
+    def test_random_non_numeric_rejected(self, capsys, n, grid, red):
+        code, out, err = run(capsys, "gen", "--random", n, grid, red)
+        assert code == 2
+        assert out == "" and "--random" in err and "N GRID REDFRAC" in err
+
     def test_bad_clause_signs(self, capsys):
         code, out, err = run(capsys, "gen", "--clause", "+,+")
         assert code == 2

@@ -11,6 +11,7 @@ from rectmatch.gadgets import build_gadget, monochromatize, variable_gadget
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
+    _bits,
     classify_intersection,
     empty_pairs,
     intersection_kinds,
@@ -19,6 +20,8 @@ from rectmatch.geometry import (
 from rectmatch.independent_set import (
     IntersectionGraph,
     RectFamily,
+    _crossing_keys,
+    _left_right,
     build_graph,
     complete_witness,
     corner_elimination,
@@ -33,6 +36,7 @@ from naive import (
     brute_force_mis,
     checked_family,
     classify_exact,
+    complete_witness_naive,
     dag_from_arcs,
     dump_edges,
     exact_box,
@@ -69,8 +73,6 @@ def random_points(rng, n, grid):
 
 def close_under_crossings(s, pair_keys, cap=40):
     """Repeatedly add the crossing rectangles of corner pairs."""
-    from rectmatch.independent_set import _crossing_keys, _left_right
-
     keys = set(pair_keys)
     while True:
         fam = family(s, sorted(keys))
@@ -190,6 +192,53 @@ class TestVerifyComplete:
         s = ps(*CROSS_POINTS)
         assert complete_witness(family(s, CROSS_PAIRS[:3])) == ((0, 1), (1, 2))
         assert complete_witness(family(s, [(0, 1), (2, 3)])) == ((0, 1), (0, 3))
+
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_pair_walk(self, pts, rnd):
+        """On the empty-pair family, and on it less about a third of its
+        members, the witness is that of the walk over every corner pair."""
+        f = all_empty_family(PointSet.from_tuples(pts))
+        sub = f.restrict([k for k in range(len(f)) if rnd.random() >= 0.3])
+        for g in (f, sub):
+            assert complete_witness(g) == complete_witness_naive(g)
+
+    def test_equals_the_pair_walk_on_random_sets(self):
+        """As above on random sets of up to 23 points, which have more
+        corner pairs: some sub-families lack crossings of several pairs,
+        and the witness is still the first of them."""
+        rng = random.Random(5)
+        incomplete = 0
+        for _ in range(300):
+            f = all_empty_family(random_points(rng, rng.randrange(4, 24), 12))
+            sub = f.restrict([k for k in range(len(f)) if rng.random() >= 0.3])
+            witness = complete_witness(sub)
+            assert witness == complete_witness_naive(sub)
+            incomplete += witness is not None
+        assert incomplete >= 30
+
+    @pytest.mark.parametrize("pick", [0, -1])
+    def test_large_incomplete_family_raises(self, pick):
+        """The monochromatized degree-1 gadget's empty-pair family is
+        complete.  Without the crossing rectangle (left of v, right of u)
+        of its first or last corner pair (u, v), the witness is that of the
+        pair walk, and corner elimination refuses the family."""
+        f = all_empty_family(ps(*GADGET_POINTS))
+        assert complete_witness(f) is None
+        pairs = [(u, v) for u, m in enumerate(f._corners) for v in _bits(m) if u < v]
+        assert len(pairs) == 1040
+        u, v = pairs[pick]
+        ends = _left_right(f)
+        _, missing = _crossing_keys(ends[u], ends[v])
+        sub = f.restrict([k for k, r in enumerate(f.rects) if r.key != missing])
+        assert len(sub) == len(f) - 1
+        witness = complete_witness(sub)
+        assert witness is not None and witness == complete_witness_naive(sub)
+        assert witness[1] == missing
+        with pytest.raises(ContractError, match=re.escape(
+                f"lacks crossing rectangle {missing}")):
+            corner_elimination(sub)
 
 
 class TestCornerElimination:

@@ -64,6 +64,7 @@ from naive import (
     recolored,
     square_symmetries,
 )
+from strategies import collinear_runs, perturbed, repeated_grid
 
 K = IntersectionKind
 
@@ -548,18 +549,29 @@ class TestReportJson:
         text = report_to_json(solve(gadget_random_instance(n, grid, 0.5, seed=1)))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
-    @pytest.mark.parametrize("recolor, solve, digest", [
-        (monochromatize, approx_mmrm, "cab4f301f704acb7"),
-        (monochromatize, approx_mbrm, "02416620e4b94713"),
-        (bichromatize, approx_mmrm, "b916a5e1429e14ff"),
-        (bichromatize, approx_mbrm, "970aeb114793f13a"),
-    ])
-    def test_pinned_output_on_a_recoloured_gadget(self, recolor, solve, digest):
-        """The approximations' reports on both recolourings of a degree-1
-        variable gadget (754 and 506 points, with many corner pairs) are
-        byte for byte those recorded while every family's non-piercing
-        pairs were still classified in full."""
-        g = build_gadget(*variable_gadget(1), {"recipe": "variable"})
+    @pytest.mark.parametrize("degree, recolor, solve, digest", [
+        pytest.param(degree, recolor, solve, digest, id="-".join(
+            [recolor.__name__, solve.__name__, digest] + [f"d{degree}"] * (degree > 1)))
+        for degree, recolor, solve, digest in [
+            (1, monochromatize, approx_mmrm, "cab4f301f704acb7"),
+            (1, monochromatize, approx_mbrm, "02416620e4b94713"),
+            (1, bichromatize, approx_mmrm, "b916a5e1429e14ff"),
+            (1, bichromatize, approx_mbrm, "970aeb114793f13a"),
+            (2, monochromatize, approx_mmrm, "c3ebea0367401bf9"),
+            (2, monochromatize, approx_mbrm, "02416620e4b94713"),
+            (2, bichromatize, approx_mmrm, "c0c09eb464b4b6c3"),
+            (2, bichromatize, approx_mbrm, "a72c12bd1830e716"),
+        ]])
+    def test_pinned_output_on_a_recoloured_gadget(self, degree, recolor, solve, digest):
+        """The approximations' reports on both recolourings of the degree-1
+        and degree-2 variable gadgets (754 and 506 points, 1552 and 1040
+        points, with many corner pairs) are byte for byte those recorded
+        while every family's non-piercing pairs were still classified in
+        full (degree 1), or while every corner pair was still walked in the
+        completeness check (degree 2).  A monochromatized gadget has one
+        colour, so its bichromatic report is empty, the same at both
+        degrees."""
+        g = build_gadget(*variable_gadget(degree), {"recipe": "variable"})
         text = report_to_json(solve(recolor(g)))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
@@ -738,19 +750,31 @@ def box_operations(draw):
 
 
 @given(box_operations())
+# Two empty boxes that meet at a corner: one is chosen, the other queried.
+@example((([0, 3, 1, 4], [2, 5, 0, 3]),
+          [Rect(0, 3, 2, 5, 0, 1), Rect(1, 4, 0, 3, 2, 3)], 1, [("push", 0), ("query", 1)]))
 @settings(max_examples=300, deadline=None)
 def test_chosen_index_answers_as_the_scan(case):
     """Under any last-in-first-out sequence of pushes, leaves and pops, the
     index gives every conflict query the answer of `_meet` over all chosen
-    boxes.  The bitmask gives the same answer, except that it also blocks
-    each candidate of a point left unmatched.  A leave takes, when there
-    is one, a point of a candidate that nothing blocks yet, and every
+    boxes.  The bitmask holds only the boxes that are empty in the drawn
+    points, as the oracle's candidates are.  On those it gives the answer
+    of `_meet` over the chosen empty boxes, and it also blocks each
+    candidate of a point left unmatched.  A leave takes, when there is
+    one, a point of a candidate that nothing blocks yet, and every
     candidate of that point is queried right after it, so that only the
     leave can block them in the bitmask."""
     ranks, rects, side, ops = case
     grid = _Grid(*ranks)
+    xs, ys = ranks
+    points = range(len(xs))
+    empty = [k for k, r in enumerate(rects) if not any(
+        p != r.a and p != r.b and r.xmin <= xs[p] <= r.xmax and r.ymin <= ys[p] <= r.ymax
+        for p in points)]
+    bit = {k: e for e, k in enumerate(empty)}  # a box's candidate in the bitmask
+    empty_boxes = {rects[k] for k in empty}
     chosen = []  # the chosen boxes, and the points left unmatched
-    mask = matching_module._ChosenMask(grid, rects, len(ranks[0]))
+    mask = matching_module._ChosenMask([rects[k] for k in empty], len(xs))
     index = matching_module._ChosenIndex(grid, ranks, [(r.a, r.b) for r in rects], side)
 
     def blocked(k):
@@ -759,22 +783,25 @@ def test_chosen_index_answers_as_the_scan(case):
         boxes = [c for c in chosen if isinstance(c, Rect)]
         left = {c for c in chosen if not isinstance(c, Rect)}
         want = conflicts_naive(rects[k], boxes, grid)
-        return want, want or rects[k].a in left or rects[k].b in left
+        want_mask = conflicts_naive(rects[k], [b for b in boxes if b in empty_boxes], grid)
+        return want, want_mask or rects[k].a in left or rects[k].b in left
 
     def check(k):
         want, want_mask = blocked(k)
         assert index.conflicts(k) == want
-        assert bool(mask.conflicts(k)) == want_mask
+        if k in bit:
+            assert bool(mask.conflicts(bit[k])) == want_mask
 
     for op, k in ops:
         if op == "push":
             chosen.append(rects[k])
-            mask.append(k)
+            if k in bit:
+                mask.append(bit[k])
             index.append(k)
         elif op == "leave":
             n = len(rects)
             k = next((c for c in ((k + d) % n for d in range(n))
-                      if not blocked(c)[1]), k)
+                      if not any(blocked(c))), k)
             p = rects[k].a
             chosen.append(p)
             mask.leave(p)
@@ -783,11 +810,34 @@ def test_chosen_index_answers_as_the_scan(case):
                 if p in (r.a, r.b):
                     check(c)
         elif op == "pop" and chosen:
-            chosen.pop()
-            mask.pop()
+            c = chosen.pop()
+            if not isinstance(c, Rect) or c in empty_boxes:
+                mask.pop()
             index.pop()
         else:
             check(k)
+
+
+@given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+@example([(p.x, p.y, p.color) for p in monochromatize(
+    build_gadget(*variable_gadget(1), {"recipe": "variable"}))])
+@settings(max_examples=300, deadline=None)
+def test_chosen_mask_holds_every_conflict(pts):
+    """The candidates of either mode are empty rectangles.  On them, bit v
+    of a candidate's conflict mask is set iff candidate v shares one of its
+    points or `_meet` finds that the two meet, as `intersection_kinds`
+    reports every meeting pair."""
+    s = PointSet.from_tuples(pts)
+    for rects in (candidate_monochromatic(s), candidate_bichromatic(s)):
+        incident = [0] * len(s)
+        for v, b in enumerate(rects):
+            incident[b.a] |= 1 << v
+            incident[b.b] |= 1 << v
+        want = [incident[r.a] | incident[r.b] for r in rects]
+        for u, v in intersection_kinds(s, rects):
+            want[u] |= 1 << v
+            want[v] |= 1 << u
+        assert matching_module._ChosenMask(rects, len(s)).conf == want
 
 
 def _searches_by_container(s, mode, runs):
