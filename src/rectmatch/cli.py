@@ -145,6 +145,10 @@ def cmd_compile_sat(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 0:
+        print(f"bench: --trials takes a count of 0 or more, got {args.trials}",
+              file=sys.stderr)
+        return 2
     modes = [args.mode] if args.mode in ("mono", "bi") else ["mono", "bi"]
     rows = []
     for t in range(args.trials):

@@ -8,10 +8,11 @@ are the ranks of its two defining points' coordinates.  Rectangles are
 *closed* boxes, so a point on the boundary counts as contained.
 Which boxes of a family overlap, pierce one another or meet at a corner is
 read off bitmasks of its members: prefix and suffix masks over each of
-the four bounds (`_bound_masks`, `_dominance`).  `intersection_kinds`, the
-family stages of `independent_set` and the exact oracle's conflict masks
-all read these masks, and `_meet` classifies the pairs that the masks
-leave open; `classify_intersection` runs the same rule on one pair.
+the four bounds (`_bound_masks`, `_dominance`).  `_dominance` also states
+the rule by which two empty rectangles meet, the one rule by which the
+exact oracle decides conflicts.  `_meet` names the kind of any meeting,
+with the point grid: `classify_intersection` runs it on one pair,
+`intersection_kinds` on the pairs that the masks report to overlap.
 The candidate rectangles are those of the empty pairs, the pairs of points
 whose box holds no third point.  `empty_pairs` finds them in one sweep over
 the points in (x, y) order, which jumps to each next point through a
@@ -268,22 +269,13 @@ def intersection_kinds(
     """`classify_intersection` of every intersecting pair (u, v), u < v, of
     rectangles of s, keys in sorted order; a pair that is absent is
     disjoint.  `_meet` classifies each pair that `_dominance` reports to
-    overlap, piercing pairs included: the all-pairs reference for the
-    family stages, which skip the piercing pairs."""
-    return _classify(s._rank_grid, rects, (m for _, _, _, m, _ in _dominance(rects)))
-
-
-def _classify(
-    grid: _Grid, rects: Sequence[Rect], masks: Iterable[int]
-) -> dict[tuple[int, int], IntersectionKind]:
-    """`_meet` of each pair (u, v) of `rects` such that v > u is a bit of
-    the u-th of `masks`, keys in sorted order; the disjoint pairs are left
-    out."""
+    overlap, piercing pairs included."""
+    grid = s._rank_grid
     DISJOINT = IntersectionKind.DISJOINT
     out = {}
-    for u, mask in enumerate(masks):
+    for u, _, _, overlap, _ in _dominance(rects):
         ru = rects[u]
-        for k in _bits(mask >> (u + 1)):
+        for k in _bits(overlap >> (u + 1)):
             v = u + 1 + k
             kind = _meet(ru, rects[v], grid)
             if kind is not DISJOINT:
@@ -330,10 +322,17 @@ def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int, int]
     of `_bound_masks`.  Two boxes pierce one another exactly when they are
     equal.  The corner mask is the boxes that overlap u with positive area,
     read at the ranks next to u's bounds, less the comparable ones and the
-    boxes of zero width or height.  On empty rectangles these are the pairs
-    that `_meet` calls CORNER: a point of the set on the closed box of an
-    empty rectangle is one of its defining points, so each box of such a
-    pair has one corner strictly inside the other, and no point there."""
+    boxes of zero width or height.
+
+    The rule of empty rectangles, by which the exact oracle decides every
+    conflict: two empty rectangles meet (`_meet` does not call them
+    DISJOINT) exactly when they share a defining point, are comparable, or
+    overlap with positive area.  It holds because a point of the set on
+    the closed box of an empty rectangle is one of its defining points: a
+    point in a zero-area overlap defines both boxes, and two boxes that
+    overlap with positive area and are not comparable each hold one corner
+    of the other strictly inside, with no point there, which `_meet` calls
+    CORNER and the corner mask holds."""
     (x1le, x1ge), (x2le, x2ge), (y1le, y1ge), (y2le, y2ge) = _bound_masks(rects)
     flat = sum(1 << k for k, r in enumerate(rects) if r[0] == r[1] or r[2] == r[3])
     for u, (x1, x2, y1, y2, _, _) in enumerate(rects):

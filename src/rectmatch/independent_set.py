@@ -19,8 +19,9 @@ completeness check and corner elimination read a family's corner masks,
 computed once per family, with no step per corner pair on a complete
 family, and the piercing order checks its family for corners in the pass
 that builds it.  Only the contact graph of the chosen antichain classifies
-pairs with `_meet`: the overlapping pairs that are not comparable.  The
-piercing order stays in bitmasks, and the chain cover runs on them.
+pairs, with `geometry.intersection_kinds`: an antichain has no comparable
+pair, so these are its overlapping pairs.  The piercing order stays in
+bitmasks, and the chain cover runs on them.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ from rectmatch.geometry import (
     PointSet,
     Rect,
     _bits,
-    _classify,
     _dominance,
+    intersection_kinds,
 )
 
 
@@ -109,12 +110,10 @@ class IndependentSet:
 def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
     """The kind of every intersecting pair (u, v), u < v, of members that
     do not pierce one another, keys in sorted order: the corner, point and
-    side pairs.  A pair that is absent is disjoint or piercing; the
-    piercing pairs are the comparable pairs of `geometry._dominance`, so
-    `_meet` classifies only the overlapping pairs that are not
-    comparable."""
-    return _classify(f.base._rank_grid, f.rects, (
-        overlap & ~(above | below) for _, above, below, overlap, _ in _dominance(f.rects)))
+    side pairs.  This is `geometry.intersection_kinds` less its piercing
+    pairs; a pair that is absent is disjoint or piercing."""
+    return {uv: kind for uv, kind in intersection_kinds(f.base, f.rects).items()
+            if kind is not IntersectionKind.PIERCING}
 
 
 def build_graph(f: RectFamily) -> IntersectionGraph:

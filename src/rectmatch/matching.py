@@ -14,20 +14,18 @@ The exact oracles `brute_force_max_matching`, `decide_perfect` and
 `count_perfect_matchings` are one depth-first search with three objectives
 (max, decide, count).  Its stack is explicit, so the search has no depth
 limit: inputs of thousands of points are bounded only by the size guard.
-The search runs on the candidates' `Rect`s, whose bounds are ranks, and
-decides conflicts with the rule that classifies intersections everywhere
-else (`geometry._meet`).  A search that can choose at most a few dozen
-boxes works out once which candidates meet which, as one bitmask per
-candidate, all read off masks: two empty rectangles meet exactly when
-they share a defining point or `geometry._dominance` reports them
-comparable or meeting at a corner.  So a conflict test is one bit test.
-A larger one buckets the chosen boxes by cell of the rank grid, so a
-conflict test runs `_meet` on the boxes near the query only, and builds
-a candidate's `Rect` the first time a test or a choice touches it.  The
-maximum search also prunes with the free points that still have a
-feasible partner.  A small search keeps every candidate of a chosen or
-unmatched point in its blocked mask, so that test is one AND per free
-point.  The search stays exponential in the worst case.
+The search runs on the candidates' `Rect`s, whose bounds are ranks.  The
+candidates are empty rectangles, so it decides conflicts by the rule of
+empty rectangles that `geometry._dominance` states.  A search that can
+choose at most a few dozen boxes works out once which candidates meet
+which, as one bitmask per candidate read off masks, so a conflict test is
+one bit test.  A larger one buckets the chosen boxes by cell of the rank
+grid, so a conflict test applies the rule to the boxes near the query
+only, and builds a candidate's `Rect` the first time a test or a choice
+touches it.  The maximum search also prunes with the free points that
+still have a feasible partner.  A small search keeps every candidate of a
+chosen or unmatched point in its blocked mask, so that test is one AND
+per free point.  The search stays exponential in the worst case.
 """
 from __future__ import annotations
 
@@ -41,13 +39,11 @@ from typing import Sequence
 from rectmatch.errors import GuardError
 from rectmatch.geometry import (
     Color,
-    IntersectionKind,
     PointSet,
     Rect,
     _color_pairs,
     _dominance,
     _json_field,
-    _meet,
     _rect,
     candidate_bichromatic,
     candidate_monochromatic,
@@ -243,13 +239,12 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
     `allowed_pairs`, when given, keeps only those pairs.
 
     The container is a `_ChosenMask` when `capacity` is at most
-    `_INDEX_FROM`, else a `_ChosenIndex` over the rank grid whose cell side
-    is the median extent of about `_SAMPLE` candidate boxes, taken evenly
-    from the pairs in order.  A `_ChosenMask` works out every candidate's
-    `Rect` up front and reads every conflict off masks, a `_ChosenIndex`
-    builds each one the first time it is touched and decides conflicts
-    with `geometry._meet` on the rank grid, the rule that
-    `classify_intersection` and `intersection_kinds` run."""
+    `_INDEX_FROM`, else a `_ChosenIndex` whose cell side is the median
+    extent of about `_SAMPLE` candidate boxes, taken evenly from the pairs
+    in order.  A `_ChosenMask` works out every candidate's `Rect` up front,
+    a `_ChosenIndex` builds each one the first time it is touched.  Both
+    decide conflicts by the rule of empty rectangles (`geometry._dominance`),
+    from the boxes and their defining points alone."""
     pairs = _color_pairs(s, mode is MatchMode.MONO)
     if allowed_pairs is not None:
         keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
@@ -266,7 +261,7 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
     sample = sorted(max(abs(xr[i] - xr[j]), abs(yr[i] - yr[j]))
                     for i, j in pairs[::len(pairs) // _SAMPLE + 1])
     side = max(1, sample[len(sample) // 2]) if sample else 1
-    return partners, _ChosenIndex(s._rank_grid, s._ranks, pairs, side)
+    return partners, _ChosenIndex(s._ranks, pairs, side)
 
 
 class _ChosenMask:
@@ -274,15 +269,11 @@ class _ChosenMask:
     the candidates that meet one of them or have a point left unmatched.
     The candidates are empty rectangles of a set of `points` points.  Bit k
     of `incident[p]` is set iff point p defines candidate k, and bit v of
-    `conf[u]` iff candidates u and v meet under `_meet`.  Two empty
-    rectangles meet exactly when they share a defining point, when
-    `geometry._dominance` reports them comparable (one pierces the other),
-    or when they are in its corner masks (they overlap with positive area):
-    a point of the set in a zero-area overlap would lie on both closed
-    boxes, so it would define both.  A chosen candidate's mask holds both
-    of its points' incidence masks, so with `leave` every candidate of a
-    used point is in `blocked`.  `append` and `leave` save `blocked`
-    before they OR in a mask, so `pop` restores it last in, first out."""
+    `conf[u]` iff candidates u and v meet: by the rule of empty rectangles
+    (`geometry._dominance`), u's points' incidence masks ORed with its
+    comparable and corner masks.  So with `leave` every candidate of a
+    used point is in `blocked`.  `append` and `leave` save `blocked` before
+    they OR in a mask, so `pop` restores it last in, first out."""
 
     __slots__ = ("conf", "incident", "blocked", "saved")
 
@@ -324,15 +315,14 @@ class _ChosenIndex:
     instead.  `append`, `leave` and `pop` work last in, first out, so a
     popped box is the last one in each of its buckets; `leave` holds no
     box.  `conflicts` tests the boxes in the cells of the query box and the
-    wide ones, or every chosen box when that is fewer; `_meet` decides each
-    one."""
+    wide ones, or every chosen box when that is fewer, by the rule of empty
+    rectangles (`geometry._dominance`)."""
 
-    __slots__ = ("grid", "ranks", "pairs", "rects", "side", "cells", "wide",
+    __slots__ = ("ranks", "pairs", "rects", "side", "cells", "wide",
                  "boxes", "held")
 
-    def __init__(self, grid, ranks: tuple[list[int], list[int]],
+    def __init__(self, ranks: tuple[list[int], list[int]],
                  pairs: Sequence[tuple[int, int]], side: int):
-        self.grid = grid
         self.ranks = ranks
         self.pairs = pairs
         self.rects: list[Rect | None] = [None] * len(pairs)
@@ -374,9 +364,12 @@ class _ChosenIndex:
                 bucket.pop()
 
     def conflicts(self, k: int) -> bool:
-        """True iff candidate k meets one of the chosen candidates."""
+        """True iff candidate k meets one of the chosen candidates.  A box
+        that passes a test of the closed boxes meets k iff it shares a
+        defining point with k, overlaps it with positive area, or one of
+        the two pierces the other."""
         box = self.rects[k] or self._build(k)
-        x1, x2, y1, y2, _, _ = box
+        x1, x2, y1, y2, a, b = box
         c = self.side
         cx1, cx2, cy1, cy2 = x1 // c, x2 // c, y1 // c, y2 // c
         if (cx2 - cx1 + 1) * (cy2 - cy1 + 1) >= len(self.boxes):
@@ -386,12 +379,16 @@ class _ChosenIndex:
             buckets = [get((cx, cy), ()) for cx in range(cx1, cx2 + 1)
                        for cy in range(cy1, cy2 + 1)]
             buckets.append(self.wide)
-        grid = self.grid
         for bucket in buckets:
-            for b in bucket:
-                if b[0] > x2 or b[1] < x1 or b[2] > y2 or b[3] < y1:
+            for r in bucket:
+                if r[0] > x2 or r[1] < x1 or r[2] > y2 or r[3] < y1:
                     continue
-                if _meet(box, b, grid) is not IntersectionKind.DISJOINT:
+                rx1, rx2, ry1, ry2, ra, rb = r
+                if (ra == a or ra == b or rb == a or rb == b
+                        or (x1 if x1 > rx1 else rx1) < (x2 if x2 < rx2 else rx2)
+                        and (y1 if y1 > ry1 else ry1) < (y2 if y2 < ry2 else ry2)
+                        or x1 <= rx1 and rx2 <= x2 and ry1 <= y1 and y2 <= ry2
+                        or rx1 <= x1 and x2 <= rx2 and y1 <= ry1 and ry2 <= y2):
                     return True
         return False
 
@@ -658,7 +655,8 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
     of its mode, pairwise disjointness of the spanned rectangles, and report
     whether it is perfect.  Failures are recorded with witnesses, never
     raised.  A pair (i, j) has i < j, as `Matching` keeps it, so it is
-    valid when i >= 0 and j < len(s).
+    valid when i >= 0 and j < len(s); a matching with an invalid pair is
+    not perfect.
 
     Disjointness is decided by `intersection_kinds` on the rectangles of
     the valid pairs."""
@@ -684,9 +682,8 @@ def verify_matching(s: PointSet, m: Matching) -> VerificationReport:
                      for a, b in intersection_kinds(s, rects))
     disjoint = Check("rects_pairwise_disjoint", not overlaps, overlaps)
 
-    return VerificationReport(
-        (candidacy, color, disjoint), perfect=m.covers(len(s))
-    )
+    return VerificationReport((candidacy, color, disjoint),
+                              perfect=not bad_index and m.covers(len(s)))
 
 
 def matching_to_dict(m: Matching, algorithm: str) -> dict:

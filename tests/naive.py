@@ -206,7 +206,8 @@ def dense_ranks_naive(values: list) -> list[int]:
 
 def conflicts_naive(box, chosen, grid) -> bool:
     """True iff `_meet` finds that box meets one of the chosen rank boxes:
-    the oracle's conflict test as a scan over every chosen box."""
+    the answer that the oracle's conflict test must give on empty boxes,
+    as a scan over every chosen box."""
     return any(_meet(box, b, grid) is not IntersectionKind.DISJOINT for b in chosen)
 
 

@@ -130,6 +130,16 @@ class TestSolveVerifyOracle:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("pair", [[0, 5], [-1, 1]])
+    def test_verify_out_of_range_pair_not_perfect(self, tmp_path, capsys, pair):
+        pts = tmp_path / "p.pts"
+        pts.write_text("0 0 R\n1 1 R\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"mode": "monochromatic", "pairs": [pair]}))
+        code, out, _ = run(capsys, "verify", str(pts), "--matching", str(bad))
+        assert code == 1
+        assert out.splitlines()[-1] == "perfect: no"
+
     def test_solve_bad_coordinate(self, tmp_path, capsys):
         pts = tmp_path / "bad.pts"
         pts.write_text("0 0 R\n1/0 2 B\n")
@@ -268,6 +278,20 @@ class TestBench:
                            "--out", str(tmp_path / "bench.csv"))
         assert code == 1
         assert err.strip() == "error: n must be non-negative, got -1"
+
+    def test_negative_trials_rejected(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code, _, err = run(capsys, "bench", "--trials", "-1", "--n", "8",
+                           "--out", str(out))
+        assert code == 2
+        assert err.startswith("bench: --trials") and not out.exists()
+
+    def test_zero_trials_writes_the_header(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code, _, _ = run(capsys, "bench", "--trials", "0", "--n", "8",
+                         "--out", str(out))
+        assert code == 0
+        assert out.read_text().splitlines() == ["seed,n,mode,candidates,approx,opt,ratio"]
 
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -63,12 +63,20 @@ def all_empty_family(s):
 
 
 def random_points(rng, n, grid):
+    if n > grid * grid:
+        raise ValueError(f"cannot place {n} distinct points on a {grid}^2 grid")
     pts = set()
     while len(pts) < n:
         pts.add((rng.randrange(grid), rng.randrange(grid)))
     return PointSet.from_tuples(
         (x, y, "R" if rng.random() < 0.5 else "B") for x, y in sorted(pts)
     )
+
+
+def test_random_points_refuses_more_points_than_cells():
+    assert len(random_points(random.Random(0), 25, 5)) == 25
+    with pytest.raises(ValueError, match="26 distinct points on a 5"):
+        random_points(random.Random(0), 26, 5)
 
 
 def close_under_crossings(s, pair_keys, cap=40):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rectmatch.matching as matching_module
@@ -74,12 +74,20 @@ def ps(*triples):
 
 
 def random_instance(rng, n, grid=20, red=0.5):
+    if n > (grid + 1) ** 2:
+        raise ValueError(f"cannot place {n} distinct points on a {grid + 1}^2 grid")
     pts = set()
     while len(pts) < n:
         pts.add((rng.randrange(grid + 1), rng.randrange(grid + 1)))
     return PointSet.from_tuples(
         (x, y, "R" if rng.random() < red else "B") for x, y in sorted(pts)
     )
+
+
+def test_random_instance_refuses_more_points_than_cells():
+    assert len(random_instance(random.Random(0), 16, grid=3)) == 16
+    with pytest.raises(ValueError, match="17 distinct points on a 4"):
+        random_instance(random.Random(0), 17, grid=3)
 
 
 class TestSplitMono:
@@ -420,20 +428,30 @@ class TestChosenIndex:
     """Searches that can choose more than `_INDEX_FROM` boxes run on the
     index of chosen boxes, smaller ones on the bitmask."""
 
+    CLAUSE = {
+        "variables": ["u", "v", "w"],
+        "clauses": [{"literals": [
+            {"var": "u", "neg": False},
+            {"var": "v", "neg": True},
+            {"var": "w", "neg": False},
+        ]}],
+    }
+
     def test_compiled_clause(self, built):
-        f = formula_from_dict({
-            "variables": ["u", "v", "w"],
-            "clauses": [{"literals": [
-                {"var": "u", "neg": False},
-                {"var": "v", "neg": True},
-                {"var": "w", "neg": False},
-            ]}],
-        })
+        f = formula_from_dict(self.CLAUSE)
         s = compile_planar_1in3(f).points
         assert len(s) // 2 > matching_module._INDEX_FROM
         assert decide_perfect(s, MatchMode.MONO, max_points=len(s)) \
             == one_in_three_satisfiable(f)
         assert len(built["_ChosenIndex"]) == 1
+
+    def test_search_builds_no_point_grid(self):
+        """The index decides conflicts from the boxes and their defining
+        points alone, so a large search never builds the rank grid."""
+        s = compile_planar_1in3(formula_from_dict(self.CLAUSE)).points
+        assert len(s) // 2 > matching_module._INDEX_FROM
+        decide_perfect(s, MatchMode.MONO, max_points=len(s))
+        assert "_rank_grid" not in s.__dict__
 
     @pytest.mark.parametrize("axis", ["row", "column"])
     def test_collinear_run_pairs_neighbours(self, built, axis):
@@ -507,6 +525,18 @@ class TestVerifyMatching:
         rep = verify_matching(s, m)
         names = {c.name: c for c in rep.checks}
         assert not names["color_rule"].ok
+
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 1)])
+    def test_out_of_range_pair_is_not_perfect(self, pair):
+        """A pair that names no point fails the candidacy check, and the
+        matching is not perfect, though it has as many pairs as a perfect
+        one."""
+        s = ps((0, 0, "R"), (1, 1, "R"))
+        rep = verify_matching(s, Matching((pair,), MatchMode.MONO))
+        names = {c.name: c for c in rep.checks}
+        assert names["pairs_are_candidates"].witnesses == (pair,)
+        assert not rep.perfect
+        assert str(rep).endswith("perfect: no")
 
     def test_point_reuse_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -705,15 +735,16 @@ def test_oracle_matches_subset_enumeration(s):
 
 @st.composite
 def box_operations(draw):
-    """A rank grid of up to 8 x 8 with points on it, candidate boxes, a cell
-    side, and a sequence of pushes, leaves, pops and queries of the
-    candidates; a leave names the candidate where the test starts to look
-    for a point to leave.
-    The boxes include zero-width and zero-height segments, boxes with
-    shared coordinates and boxes spanning the whole grid.  As in the
-    oracle, each box is spanned by two points at opposite corners, and
-    boxes with a corner in common share the point there."""
-    g = draw(st.integers(1, 8))
+    """A rank grid of 2 x 2 up to 8 x 8 with points on it, candidate boxes
+    that are empty in those points, a cell side, and a sequence of pushes,
+    leaves, pops and queries of the candidates; a leave names the
+    candidate where the test starts to look for a point to leave.
+    The boxes are drawn among zero-width and zero-height segments, boxes
+    with shared coordinates and boxes spanning the whole grid.  As in the
+    oracle, each box is spanned by two distinct points at opposite
+    corners, and boxes with a corner in common share the point there.  The
+    drawn boxes that hold a third point are dropped."""
+    g = draw(st.integers(2, 8))
     coord = st.integers(0, g - 1)
     points = draw(st.lists(st.tuples(coord, coord), max_size=20))
     at = {p: k for k, p in enumerate(points)}
@@ -736,8 +767,12 @@ def box_operations(draw):
             x1, x2, y1, y2 = 0, g - 1, 0, g - 1
         return Rect(x1, x2, y1, y2, corner(x1, y1), corner(x2, y2))
 
-    rects = [box() for _ in range(draw(st.integers(1, 30)))]
-    ranks = ([x for x, _ in points], [y for _, y in points])
+    drawn = [box() for _ in range(draw(st.integers(1, 30)))]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    rects = [r for r in drawn if r.a != r.b and not any(
+        p != r.a and p != r.b and r.xmin <= xs[p] <= r.xmax and r.ymin <= ys[p] <= r.ymax
+        for p in range(len(points)))]
+    assume(rects)
     pick = st.integers(0, len(rects) - 1)
     # A few leaves come first, while nothing is blocked.  A query reads the
     # cells only when they are fewer than the chosen boxes, so most
@@ -746,57 +781,57 @@ def box_operations(draw):
     ops += [("push", draw(pick)) for _ in range(draw(st.integers(0, 30)))]
     ops += [(op, draw(pick)) for op in draw(st.lists(
         st.sampled_from(["push", "leave", "query", "query", "pop"]), max_size=40))]
-    return ranks, rects, draw(st.integers(1, 4)), ops
+    return (xs, ys), rects, draw(st.integers(1, 4)), ops
 
 
 @given(box_operations())
-# Two empty boxes that meet at a corner: one is chosen, the other queried.
+# Pairs of empty boxes, the first chosen and the second queried.  Two that
+# meet at a corner: a conflict.  On the next three, the rule of empty
+# rectangles differs from a test of the closed boxes.
 @example((([0, 3, 1, 4], [2, 5, 0, 3]),
           [Rect(0, 3, 2, 5, 0, 1), Rect(1, 4, 0, 3, 2, 3)], 1, [("push", 0), ("query", 1)]))
+# Two that touch along x = 1, with no point there: no conflict.
+@example((([0, 1, 1, 2], [1, 3, 0, 2]),
+          [Rect(0, 1, 1, 3, 0, 1), Rect(1, 2, 0, 2, 2, 3)], 1, [("push", 0), ("query", 1)]))
+# Two that share the defining point (1, 1) and overlap only there: a conflict.
+@example((([0, 1, 2], [0, 1, 2]),
+          [Rect(0, 1, 0, 1, 0, 1), Rect(1, 2, 1, 2, 1, 2)], 1, [("push", 0), ("query", 1)]))
+# Two segments crossing at (1, 1), which is no point of the set: comparable,
+# so a conflict.
+@example((([1, 1, 0, 2], [0, 2, 1, 1]),
+          [Rect(1, 1, 0, 2, 0, 1), Rect(0, 2, 1, 1, 2, 3)], 1, [("push", 0), ("query", 1)]))
 @settings(max_examples=300, deadline=None)
 def test_chosen_index_answers_as_the_scan(case):
-    """Under any last-in-first-out sequence of pushes, leaves and pops, the
-    index gives every conflict query the answer of `_meet` over all chosen
-    boxes.  The bitmask holds only the boxes that are empty in the drawn
-    points, as the oracle's candidates are.  On those it gives the answer
-    of `_meet` over the chosen empty boxes, and it also blocks each
+    """Both containers of chosen candidates, built over the same empty
+    boxes, as the oracle builds them, and run under any last-in-first-out
+    sequence of pushes, leaves and pops, answer every conflict query as
+    `_meet` over all chosen boxes does.  The bitmask also blocks each
     candidate of a point left unmatched.  A leave takes, when there is
     one, a point of a candidate that nothing blocks yet, and every
     candidate of that point is queried right after it, so that only the
     leave can block them in the bitmask."""
     ranks, rects, side, ops = case
     grid = _Grid(*ranks)
-    xs, ys = ranks
-    points = range(len(xs))
-    empty = [k for k, r in enumerate(rects) if not any(
-        p != r.a and p != r.b and r.xmin <= xs[p] <= r.xmax and r.ymin <= ys[p] <= r.ymax
-        for p in points)]
-    bit = {k: e for e, k in enumerate(empty)}  # a box's candidate in the bitmask
-    empty_boxes = {rects[k] for k in empty}
     chosen = []  # the chosen boxes, and the points left unmatched
-    mask = matching_module._ChosenMask([rects[k] for k in empty], len(xs))
-    index = matching_module._ChosenIndex(grid, ranks, [(r.a, r.b) for r in rects], side)
+    mask = matching_module._ChosenMask(rects, len(ranks[0]))
+    index = matching_module._ChosenIndex(ranks, [(r.a, r.b) for r in rects], side)
 
     def blocked(k):
-        """`conflicts_naive` of candidate k, and whether the bitmask must
-        block it."""
+        """`conflicts_naive` of candidate k, and whether one of its points
+        is left unmatched."""
         boxes = [c for c in chosen if isinstance(c, Rect)]
         left = {c for c in chosen if not isinstance(c, Rect)}
-        want = conflicts_naive(rects[k], boxes, grid)
-        want_mask = conflicts_naive(rects[k], [b for b in boxes if b in empty_boxes], grid)
-        return want, want_mask or rects[k].a in left or rects[k].b in left
+        return conflicts_naive(rects[k], boxes, grid), rects[k].a in left or rects[k].b in left
 
     def check(k):
-        want, want_mask = blocked(k)
+        want, left = blocked(k)
         assert index.conflicts(k) == want
-        if k in bit:
-            assert bool(mask.conflicts(bit[k])) == want_mask
+        assert bool(mask.conflicts(k)) == (want or left)
 
     for op, k in ops:
         if op == "push":
             chosen.append(rects[k])
-            if k in bit:
-                mask.append(bit[k])
+            mask.append(k)
             index.append(k)
         elif op == "leave":
             n = len(rects)
@@ -810,9 +845,8 @@ def test_chosen_index_answers_as_the_scan(case):
                 if p in (r.a, r.b):
                     check(c)
         elif op == "pop" and chosen:
-            c = chosen.pop()
-            if not isinstance(c, Rect) or c in empty_boxes:
-                mask.pop()
+            chosen.pop()
+            mask.pop()
             index.pop()
         else:
             check(k)
