@@ -105,14 +105,19 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _load_matching(path: str):
+def _load_json(path: str):
+    """The JSON document in the file at `path`; one nested too deeply for
+    the parser raises a ValueError that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return matching_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_verify(args) -> int:
     s = load_points(args.points)
-    report = verify_matching(s, _load_matching(args.matching))
+    report = verify_matching(s, matching_from_dict(_load_json(args.matching)))
     print(report)
     return 0 if report.ok else 1
 
@@ -123,8 +128,8 @@ def cmd_oracle(args) -> int:
     try:
         if args.perfect:
             ok = decide_perfect(s, mode, max_points=args.guard)
-            print("true" if ok else "false")
-            return 0
+            _write(args.out, "true\n" if ok else "false\n")
+            return 0 if ok else 1
         m = brute_force_max_matching(s, mode, max_points=args.guard)
     except GuardError as e:
         print(f"refused: {e}", file=sys.stderr)
@@ -134,8 +139,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compile_sat(args) -> int:
-    with open(args.formula, "r", encoding="utf-8") as fh:
-        f = gadgets.formula_from_dict(json.load(fh))
+    f = gadgets.formula_from_dict(_load_json(args.formula))
     g = gadgets.compile_planar_1in3(f)
     _write(args.out, dump_points(g.points))
     _write(args.sidecar, gadgets.sidecar_to_json(g))
@@ -178,7 +182,7 @@ def cmd_bench(args) -> int:
 
 def cmd_render(args) -> int:
     s = load_points(args.points)
-    matching = _load_matching(args.matching) if args.matching else None
+    matching = matching_from_dict(_load_json(args.matching)) if args.matching else None
     _write(args.out, render_svg(s, matching))
     return 0
 

@@ -352,6 +352,9 @@ class Formula:
             raise ValueError("duplicate variable names")
         for c in self.clauses:
             names = [lit.var for lit in c.literals]
+            if len(names) != 3:
+                raise ValueError(
+                    f"clause {names} needs exactly three literals, got {len(names)}")
             if len(set(names)) != 3:
                 raise ValueError(f"clause {names} repeats a variable")
             for v in names:

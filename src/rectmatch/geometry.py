@@ -53,9 +53,6 @@ class ColoredPoint:
     y: Coord
     color: Color
 
-    def pos(self) -> tuple[Coord, Coord]:
-        return (self.x, self.y)
-
 
 def point(x, y, color: Color | str) -> ColoredPoint:
     if isinstance(color, str):
@@ -190,27 +187,16 @@ class _Grid:
         return k < len(line) and line[k] <= hi
 
 
-def _strict_corners(r1, r2) -> list:
-    """The distinct corners of r2 strictly inside r1."""
-    corners = {
-        (r2.xmin, r2.ymin),
-        (r2.xmin, r2.ymax),
-        (r2.xmax, r2.ymin),
-        (r2.xmax, r2.ymax),
-    }
-    return [
-        (x, y) for x, y in corners
-        if r1.xmin < x < r1.xmax and r1.ymin < y < r1.ymax
-    ]
-
-
 def _meet(r1, r2, grid: _Grid) -> IntersectionKind:
     """The classification rule of `classify_intersection`, on two boxes in
     any ordered coordinates and the grid of the point set in the same
     coordinates.  The boxes are read by position, as (xmin, xmax, ymin,
     ymax, ...).  Box 2 pierces box 1 when box 1's x-projection contains
     box 2's and box 2's y-projection contains box 1's, containment
-    non-strict; the piercing test runs it both ways."""
+    non-strict; the piercing test runs it both ways.  A positive-area
+    overlap is a corner meeting when no projection of one box contains the
+    other's and neither inner corner (the corner of each box strictly
+    inside the other) is a point of the set, else a side meeting."""
     ax1, ax2, ay1, ay2 = r1[0], r1[1], r1[2], r1[3]
     bx1, bx2, by1, by2 = r2[0], r2[1], r2[2], r2[3]
     lox = ax1 if ax1 > bx1 else bx1
@@ -231,11 +217,13 @@ def _meet(r1, r2, grid: _Grid) -> IntersectionKind:
         if lox == hix and loy == hiy:
             return IntersectionKind.POINT
         return IntersectionKind.SIDE
-    in_1 = _strict_corners(r1, r2)
-    in_2 = _strict_corners(r2, r1)
-    if len(in_1) == 1 and len(in_2) == 1:
-        (x1, y1), (x2, y2) = in_1[0], in_2[0]
-        if not grid.occupied(x1, x1, y1, y1) and not grid.occupied(x2, x2, y2, y2):
+    if (ax1 != bx1 and ax2 != bx2 and (ax1 < bx1) == (ax2 < bx2)
+            and ay1 != by1 and ay2 != by2 and (ay1 < by1) == (ay2 < by2)):
+        # The inner corners are the overlap's lower left and upper right
+        # when one box starts before the other in both x and y, else its
+        # upper left and lower right.
+        y1, y2 = (loy, hiy) if (ax1 < bx1) == (ay1 < by1) else (hiy, loy)
+        if not grid.occupied(lox, lox, y1, y1) and not grid.occupied(hix, hix, y2, y2):
             return IntersectionKind.CORNER
     return IntersectionKind.SIDE
 
@@ -246,8 +234,9 @@ def classify_intersection(s: PointSet, r1: Rect, r2: Rect) -> IntersectionKind:
 
     Order of checks: disjoint, piercing (by projection containment, either
     direction), point (the overlap is a single point that belongs to s),
-    corner (each rectangle has exactly one corner of the other strictly
-    inside it, neither corner a point of s), and side for everything else.
+    corner (no projection contains the other's, so each rectangle has one
+    corner of the other strictly inside it, neither a point of s), and
+    side for everything else.
 
     Two boundary conventions matter downstream and are fixed here.  First,
     piercing is decided before the degenerate-overlap cases: two rectangles

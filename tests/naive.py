@@ -1,12 +1,14 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the points' exact `Fraction` coordinates, except these five:
-`empty_pairs_scan` checks `empty_pairs` on sets too large for the cubic
-`empty_pairs_naive`, `conflicts_naive` checks the oracle's containers of
-chosen rank boxes, `complete_witness_naive` checks `complete_witness` one
-corner pair at a time, `antichain_by_kuhn` checks `max_antichain` on a
-given order, and `layout_naive` checks `build_layout` one clause pair at
-a time."""
+work on the points' exact `Fraction` coordinates, except these six:
+`meet_naive` names the kind of a meeting by the corners of each box that
+lie strictly inside the other, on boxes in any ordered coordinates, so it
+checks `_meet` on rank boxes as well as on exact ones; `empty_pairs_scan`
+checks `empty_pairs` on sets too large for the cubic `empty_pairs_naive`,
+`conflicts_naive` checks the oracle's containers of chosen rank boxes,
+`complete_witness_naive` checks `complete_witness` one corner pair at a
+time, `antichain_by_kuhn` checks `max_antichain` on a given order, and
+`layout_naive` checks `build_layout` one clause pair at a time."""
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
@@ -20,7 +22,6 @@ from rectmatch.geometry import (
     Rect,
     _Grid,
     _bits,
-    _meet,
     classify_intersection,
     intersection_kinds,
     rect_from_pair,
@@ -73,10 +74,47 @@ def exact_grid(s: PointSet) -> _Grid:
     return _Grid([p.x for p in s], [p.y for p in s])
 
 
+def meet_naive(r1, r2, grid: _Grid) -> IntersectionKind:
+    """The kind of the meeting of two closed boxes, read by position as
+    (xmin, xmax, ymin, ymax, ...), given the grid of the point set in the
+    same coordinates.  In order: disjoint; piercing, when one box's
+    x-projection contains the other's and the other's y-projection
+    contains the first's; a zero-area overlap is disjoint when it holds no
+    point of the set, else a point or a side; then corner, when each box
+    has exactly one of its distinct corners strictly inside the other and
+    neither corner is a point of the set; side otherwise."""
+    ax1, ax2, ay1, ay2 = r1[:4]
+    bx1, bx2, by1, by2 = r2[:4]
+    lox, hix = max(ax1, bx1), min(ax2, bx2)
+    loy, hiy = max(ay1, by1), min(ay2, by2)
+    if lox > hix or loy > hiy:
+        return IntersectionKind.DISJOINT
+    if (ax1 <= bx1 and bx2 <= ax2 and by1 <= ay1 and ay2 <= by2) or (
+            bx1 <= ax1 and ax2 <= bx2 and ay1 <= by1 and by2 <= ay2):
+        return IntersectionKind.PIERCING
+    if lox == hix or loy == hiy:
+        if not grid.occupied(lox, hix, loy, hiy):
+            return IntersectionKind.DISJOINT
+        if lox == hix and loy == hiy:
+            return IntersectionKind.POINT
+        return IntersectionKind.SIDE
+
+    def inside(outer, corners):
+        x1, x2, y1, y2 = outer
+        return [(x, y) for x, y in corners if x1 < x < x2 and y1 < y < y2]
+
+    in_1 = inside((ax1, ax2, ay1, ay2), {(x, y) for x in (bx1, bx2) for y in (by1, by2)})
+    in_2 = inside((bx1, bx2, by1, by2), {(x, y) for x in (ax1, ax2) for y in (ay1, ay2)})
+    if len(in_1) == 1 and len(in_2) == 1 and not any(
+            grid.occupied(x, x, y, y) for x, y in in_1 + in_2):
+        return IntersectionKind.CORNER
+    return IntersectionKind.SIDE
+
+
 def classify_exact(s: PointSet, r1: tuple[int, int], r2: tuple[int, int]) -> IntersectionKind:
     """The kind of the rectangles of the index pairs r1 and r2 of s, by
-    `_meet` on their exact `Fraction` boxes and the exact grid of s."""
-    return _meet(exact_box(s, *r1), exact_box(s, *r2), exact_grid(s))
+    `meet_naive` on their exact `Fraction` boxes and the exact grid of s."""
+    return meet_naive(exact_box(s, *r1), exact_box(s, *r2), exact_grid(s))
 
 
 def empty_pairs_naive(s: PointSet) -> list[tuple[int, int]]:
@@ -205,10 +243,10 @@ def dense_ranks_naive(values: list) -> list[int]:
 
 
 def conflicts_naive(box, chosen, grid) -> bool:
-    """True iff `_meet` finds that box meets one of the chosen rank boxes:
-    the answer that the oracle's conflict test must give on empty boxes,
-    as a scan over every chosen box."""
-    return any(_meet(box, b, grid) is not IntersectionKind.DISJOINT for b in chosen)
+    """True iff `meet_naive` finds that box meets one of the chosen rank
+    boxes: the answer that the oracle's conflict test must give on empty
+    boxes, as a scan over every chosen box."""
+    return any(meet_naive(box, b, grid) is not IntersectionKind.DISJOINT for b in chosen)
 
 
 def complete_witness_naive(f: RectFamily):

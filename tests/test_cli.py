@@ -183,6 +183,32 @@ class TestSolveVerifyOracle:
         assert code == 0
         assert text.strip() == "true"
 
+    def test_oracle_imperfect_exits_1(self, tmp_path, capsys):
+        pts = tmp_path / "odd.pts"
+        pts.write_text("0 0 B\n1 1 B\n2 2 B\n")
+        code, text, _ = run(capsys, "oracle", str(pts), "--mode", "mono",
+                            "--perfect")
+        assert code == 1
+        assert text == "false\n"
+
+    def test_oracle_perfect_writes_out(self, tmp_path, capsys):
+        pts, ans = tmp_path / "blocking.pts", tmp_path / "ans.txt"
+        run(capsys, "gen", "--blocking", "--out", str(pts))
+        code, text, _ = run(capsys, "oracle", str(pts), "--mode", "mono",
+                            "--perfect", "--out", str(ans))
+        assert code == 0
+        assert text == "" and ans.read_text() == "true\n"
+
+    @pytest.mark.parametrize("verb", ["verify", "render"])
+    def test_deeply_nested_matching(self, tmp_path, capsys, verb):
+        pts = tmp_path / "p.pts"
+        pts.write_text("0 0 B\n1 1 B\n")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, verb, str(pts), "--matching", str(deep))
+        assert code == 1
+        assert err == f"error: {deep}: JSON nested too deeply\n"
+
     def test_oracle_guard_refusal(self, tmp_path, capsys):
         pts = tmp_path / "big.pts"
         pts.write_text("".join(f"{i} {i} B\n" for i in range(20)))
@@ -232,6 +258,17 @@ class TestCompileSat:
                            "--out", str(pts), "--sidecar", str(side))
         assert code == 1
         assert err.startswith("error:") and "'clauses'" in err
+        assert not pts.exists()
+
+    def test_deeply_nested_formula(self, tmp_path, capsys):
+        formula = tmp_path / "f.json"
+        formula.write_text('{"variables": ["u"], "clauses": '
+                           + "[" * 100000 + "]" * 100000 + "}")
+        pts, side = tmp_path / "inst.pts", tmp_path / "inst.json"
+        code, _, err = run(capsys, "compile-sat", "--formula", str(formula),
+                           "--out", str(pts), "--sidecar", str(side))
+        assert code == 1
+        assert err == f"error: {formula}: JSON nested too deeply\n"
         assert not pts.exists()
 
     def test_formula_with_string_literals(self, tmp_path, capsys):

@@ -615,6 +615,10 @@ def _clause(names, side="above"):
     (lambda: Formula(("u", "u", "v"), ()), "duplicate variable names"),
     (lambda: Formula(("u", "v", "w"), (_clause("uuv"),)),
      "clause ['u', 'u', 'v'] repeats a variable"),
+    (lambda: Formula(("u", "v"), (_clause("uv"),)),
+     "clause ['u', 'v'] needs exactly three literals, got 2"),
+    (lambda: Formula(("u", "v", "w", "x"), (_clause("uvwx"),)),
+     "clause ['u', 'v', 'w', 'x'] needs exactly three literals, got 4"),
     (lambda: Formula(("u", "v", "w"), (_clause("uvx"),)),
      "clause uses unknown variable 'x'"),
     (lambda: Formula(("u", "v", "w"), (_clause("uvw", "left"),)),
@@ -632,7 +636,8 @@ def _clause(names, side="above"):
     (lambda: _anchor(2, "left"), "side must be 'above' or 'below', got 'left'"),
     (lambda: formula_from_dict({"variables": ["u", 1], "clauses": []}),
      "formula key 'variables' must hold names, got 1"),
-], ids=["duplicate-name", "repeated-variable", "unknown-variable", "bad-side",
+], ids=["duplicate-name", "repeated-variable", "two-literals", "four-literals",
+        "unknown-variable", "bad-side",
         "two-anchors", "mixed-sides", "two-edge-lines", "x-out-of-order",
         "degree-0", "red-fraction", "anchor-side", "variable-not-a-name"])
 def test_validation_message(build, message):

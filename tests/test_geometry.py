@@ -20,6 +20,7 @@ from rectmatch.geometry import (
     PointSet,
     Rect,
     _dense_ranks,
+    _meet,
     candidate_bichromatic,
     candidate_monochromatic,
     classify_intersection,
@@ -38,6 +39,7 @@ from naive import (
     empty_pairs_scan,
     exact_box,
     is_general_position,
+    meet_naive,
     pierces,
     square_symmetries,
 )
@@ -179,6 +181,53 @@ class TestClassify:
             assert isinstance(k12, IntersectionKind)
 
 
+@st.composite
+def grid_cells(draw):
+    """2 to 10 distinct cells of a g x g grid, 2 <= g <= 7."""
+    g = draw(st.integers(2, 7))
+    cells = draw(st.sets(st.tuples(st.integers(0, g - 1), st.integers(0, g - 1)),
+                         min_size=2, max_size=10))
+    return sorted(cells)
+
+
+# The boxes [0, 2] x [0, 2] of (0, 2) and (2, 0) and [1, 3] x [1, 3] of
+# (1, 3) and (3, 1) meet at a corner: each holds one corner of the other,
+# (1, 1) and (2, 2), and neither is a point.  With (4, 4) the pairs of
+# boxes of these cells are of every kind.
+EVERY_KIND = [(0, 2), (1, 3), (2, 0), (3, 1), (4, 4)]
+
+
+def _box_pairs(cells):
+    """Every ordered pair of the boxes spanned by two of the cells, each
+    with the rank grid of the cells."""
+    s = PointSet.from_tuples((x, y, "B") for x, y in cells)
+    n = len(s)
+    rects = [rect(s, i, j) for i in range(n) for j in range(i + 1, n)]
+    return [(r1, r2, s._rank_grid) for r1 in rects for r2 in rects]
+
+
+class TestMeet:
+    """`_meet` decides a corner meeting on the two projections; the
+    reference `meet_naive` lists the corners of each box inside the
+    other."""
+
+    @given(grid_cells())
+    @example(EVERY_KIND)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_corner_lists(self, cells):
+        """On every pair of boxes spanned by two points, flat and equal
+        ones too, `_meet` gives `meet_naive`'s kind, on `Rect`s and on
+        plain 4-tuples of their bounds."""
+        for r1, r2, grid in _box_pairs(cells):
+            want = meet_naive(r1, r2, grid)
+            assert _meet(r1, r2, grid) is want
+            assert _meet(r1[:4], r2[:4], grid) is want
+
+    def test_the_example_has_every_kind(self):
+        kinds = {meet_naive(*pair) for pair in _box_pairs(EVERY_KIND)}
+        assert kinds == set(IntersectionKind)
+
+
 class TestCandidates:
     def test_single_blue_pair(self):
         s = ps((0, 0, "B"), (1, 1, "B"))
@@ -296,19 +345,19 @@ def test_empty_pairs_invariant_under_the_square_symmetries(pts):
 
 class TestPerturb:
     def test_zero_fixed(self):
-        s = ps((0, 0, "B"))
-        assert perturb(s, 5)[0].pos() == (0, 0)
+        out = perturb(ps((0, 0, "B")), 5)[0]
+        assert (out.x, out.y) == (0, 0)
 
     def test_direct_substitution(self):
         s = ps((5, 5, "B"))
         out = perturb(s, 5)[0]
-        assert out.pos() == (5 + Fraction(10, 11), 5 + Fraction(10, 11))
+        assert (out.x, out.y) == (5 + Fraction(10, 11), 5 + Fraction(10, 11))
 
     def test_two_point_example(self):
         s = ps((0, 1, "B"), (1, 0, "B"))
         out = perturb(s, 1)
-        assert out[0].pos() == (Fraction(1, 3), Fraction(4, 3))
-        assert out[1].pos() == (Fraction(4, 3), Fraction(1, 3))
+        assert (out[0].x, out[0].y) == (Fraction(1, 3), Fraction(4, 3))
+        assert (out[1].x, out[1].y) == (Fraction(4, 3), Fraction(1, 3))
         assert out[0].x != out[1].x and out[0].y != out[1].y
 
     def test_rejects_out_of_range(self):
@@ -354,8 +403,8 @@ class TestCandidateFamilyProperties:
                     lox = max(b1.xmin, b2.xmin)
                     loy = max(b1.ymin, b2.ymin)
                     shared = {(lox, loy)}
-                    defining_1 = {s[r1.a].pos(), s[r1.b].pos()}
-                    defining_2 = {s[r2.a].pos(), s[r2.b].pos()}
+                    defining_1 = {(s[r1.a].x, s[r1.a].y), (s[r1.b].x, s[r1.b].y)}
+                    defining_2 = {(s[r2.a].x, s[r2.a].y), (s[r2.b].x, s[r2.b].y)}
                     assert shared <= defining_1 and shared <= defining_2
 
     @given(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)),

@@ -805,7 +805,7 @@ def test_chosen_index_answers_as_the_scan(case):
     """Both containers of chosen candidates, built over the same empty
     boxes, as the oracle builds them, and run under any last-in-first-out
     sequence of pushes, leaves and pops, answer every conflict query as
-    `_meet` over all chosen boxes does.  The bitmask also blocks each
+    `meet_naive` over all chosen boxes does.  The bitmask also blocks each
     candidate of a point left unmatched.  A leave takes, when there is
     one, a point of a candidate that nothing blocks yet, and every
     candidate of that point is queried right after it, so that only the
