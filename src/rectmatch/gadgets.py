@@ -16,6 +16,7 @@ cluster that replaces each blocker (the 12-point blocking gadget, or an
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -366,7 +367,9 @@ class Formula:
 
 def formula_from_dict(d: dict) -> Formula:
     """Read a formula from its JSON form; a missing key or a value of the
-    wrong shape raises a one-line ValueError that names the field."""
+    wrong shape raises a one-line ValueError that names the field, and a
+    variable that is not a name is echoed through `reprlib.repr`, which
+    caps its length."""
     clauses = []
     for k, c in enumerate(_json_field(d, "clauses", list, "formula")):
         where = f"formula clauses[{k}]"
@@ -380,7 +383,8 @@ def formula_from_dict(d: dict) -> Formula:
     variables = _json_field(d, "variables", list, "formula")
     for v in variables:
         if not isinstance(v, str):
-            raise ValueError(f"formula key 'variables' must hold names, got {v!r}")
+            raise ValueError(f"formula key 'variables' must hold names, "
+                             f"got {reprlib.repr(v)}")
     return Formula(tuple(variables), tuple(clauses))
 
 

@@ -147,11 +147,12 @@ def _rect(xr: list[int], yr: list[int], i: int, j: int) -> Rect:
     """The rectangle spanned by points i and j, given the x and y ranks of
     their point set (`PointSet._ranks`)."""
     xa, xb, ya, yb = xr[i], xr[j], yr[i], yr[j]
-    return Rect(
+    # The tuple that `Rect.__new__` builds, without its Python-level call.
+    return tuple.__new__(Rect, (
         xa if xa < xb else xb, xb if xa < xb else xa,
         ya if ya < yb else yb, yb if ya < yb else ya,
         i, j,
-    )
+    ))
 
 
 def rect_from_pair(s: PointSet, i: int, j: int) -> Rect:
@@ -257,13 +258,17 @@ def intersection_kinds(
 ) -> dict[tuple[int, int], IntersectionKind]:
     """`classify_intersection` of every intersecting pair (u, v), u < v, of
     rectangles of s, keys in sorted order; a pair that is absent is
-    disjoint.  `_meet` classifies each pair that `_dominance` reports to
-    overlap, piercing pairs included."""
+    disjoint.  `_meet` classifies each pair whose boxes overlap, piercing
+    pairs included: the boxes whose projections both overlap u's are the
+    intersection of four prefix or suffix masks of `_bound_masks`, as in
+    `_dominance`."""
     grid = s._rank_grid
     DISJOINT = IntersectionKind.DISJOINT
     out = {}
-    for u, _, _, overlap, _ in _dominance(rects):
-        ru = rects[u]
+    (x1le, _), (_, x2ge), (y1le, _), (_, y2ge) = _bound_masks(rects)
+    for u, ru in enumerate(rects):
+        x1, x2, y1, y2, _, _ = ru
+        overlap = x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1]
         for k in _bits(overlap >> (u + 1)):
             v = u + 1 + k
             kind = _meet(ru, rects[v], grid)
@@ -300,11 +305,10 @@ def _bound_masks(rects: Sequence[Rect]) -> list[tuple[list[int], list[int]]]:
             for b in buckets]
 
 
-def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int, int]]:
+def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
     """Per rank box u of `rects` in order: u, the bitmask of the boxes that
-    pierce u, that of the boxes that u pierces, that of the boxes whose
-    projections both overlap u's (these three hold u itself, and only these
-    boxes can meet u), and that of the boxes that meet u at a corner.
+    pierce u, that of the boxes that u pierces (both hold u itself), and
+    that of the boxes that meet u at a corner.
 
     Piercing is coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin,
     ymax), so each mask is the intersection of four prefix or suffix masks
@@ -329,7 +333,7 @@ def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int, int]
         below = x1le[x1] & x2ge[x2] & y1ge[y1] & y2le[y2]
         corner = (x1le[x2 - 1] & x2ge[x1 + 1] & y1le[y2 - 1] & y2ge[y1 + 1]
                   & ~(above | below | flat)) if x1 < x2 and y1 < y2 else 0
-        yield u, above, below, x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1], corner
+        yield u, above, below, corner
 
 
 # `empty_pairs` tests this many later points one by one before it asks its

@@ -47,11 +47,14 @@ class RectFamily:
     rects: tuple[Rect, ...]
 
     def __post_init__(self):
-        keys = set()
-        for r in self.rects:
-            if r.key in keys:
-                raise ValueError(f"duplicate rectangle {r.key}")
-            keys.add(r.key)
+        rects = self.rects
+        keys = {(a, b) if a < b else (b, a) for _, _, _, _, a, b in rects}
+        if len(keys) < len(rects):
+            seen = set()
+            for r in rects:
+                if r.key in seen:
+                    raise ValueError(f"duplicate rectangle {r.key}")
+                seen.add(r.key)
 
     def __len__(self) -> int:
         return len(self.rects)
@@ -63,7 +66,7 @@ class RectFamily:
     def _corners(self) -> list[int]:
         """Per member, the bitmask of the members that meet it at a corner
         (`geometry._dominance`); `corner_elimination` takes it off the family."""
-        return [corner for *_, corner in _dominance(self.rects)]
+        return [corner for _, _, _, corner in _dominance(self.rects)]
 
     def restrict(self, indices: Sequence[int]) -> "RectFamily":
         """The sub-family of the members at the ascending `indices`.  It
@@ -129,8 +132,8 @@ def build_graph(f: RectFamily) -> IntersectionGraph:
 def _left_right(f: RectFamily) -> list[tuple[int, int]]:
     """Per member, its defining points, the one of lesser (x, y) rank first."""
     xr, yr = f.base._ranks
-    return [(r.a, r.b) if (xr[r.a], yr[r.a]) <= (xr[r.b], yr[r.b]) else (r.b, r.a)
-            for r in f.rects]
+    return [(a, b) if (xr[a], yr[a]) <= (xr[b], yr[b]) else (b, a)
+            for _, _, _, _, a, b in f.rects]
 
 
 def _crossing_keys(ends_u, ends_v) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -204,8 +207,9 @@ def corner_elimination(f: RectFamily) -> RectFamily:
         )
     # The caller keeps the family, so its full-width masks leave it here.
     corners = f.__dict__.pop("_corners")
+    keys = [(a, b) if a < b else (b, a) for _, _, _, _, a, b in f.rects]
     kept = 0
-    for u in sorted(range(len(f.rects)), key=lambda i: f.rects[i].key):
+    for u in sorted(range(len(keys)), key=keys.__getitem__):
         if not corners[u] & kept:
             kept |= 1 << u
     return f.restrict(list(_bits(kept)))
@@ -222,7 +226,7 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     """
     rects = f.rects
     above = []
-    for u, m, below, _, corner in _dominance(rects):
+    for u, m, below, corner in _dominance(rects):
         if corner:
             v = (corner & -corner).bit_length() - 1
             raise ContractError(
@@ -278,7 +282,12 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
     alternating paths from the free left copies and a depth-first search
     along the layers that augments vertex-disjoint shortest paths.  Both
     searches keep explicit stacks, and each phase visits a right copy at
-    most once.
+    most once.  The greedy match starts from the top: it visits the left
+    copies in ascending number of elements above them, ties in index
+    order, a linear extension read from the top, and gives each the lowest
+    free right copy above it.  The elements near the top have few right
+    copies to take, so they take them before the elements below use them
+    up, and fewer phases are left to run.
 
     The antichain is the set of elements whose left copy the alternating
     paths from the free left copies reach and whose right copy they do
@@ -288,7 +297,8 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
     n, above = d.n, d.above
     match_left, match_right = [-1] * n, [-1] * n
     free = (1 << n) - 1  # right copies not matched
-    for u in range(n):
+    degree = [m.bit_count() for m in above]
+    for u in sorted(range(n), key=degree.__getitem__):
         m = above[u] & free
         if m:
             low = m & -m

@@ -30,6 +30,7 @@ per free point.  The search stays exponential in the worst case.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -119,18 +120,34 @@ _BI_FAMILIES = (
 def _split(f: RectFamily, families) -> tuple[RectFamily, ...]:
     """One family per entry of `families`, each in the order of `f.rects`.
     A defining point on a rectangle's bottom rank is in its bottom-left
-    corner if on its left rank, and bottom-right if on its right rank."""
+    corner if on its left rank, and bottom-right if on its right rank.
+
+    Each rectangle gets a 4-bit code of the (corner, color) pairs of its
+    defining points, bit `2 * corner + red`, and joins the families that a
+    16-entry table, derived from `families`, lists for that code."""
     xr, yr = f.base._ranks
+    red = [int(p.color is Color.RED) for p in f.base.points]
+    table = [
+        tuple(k for k, family in enumerate(families)
+              if any(code >> (2 * corner + (color is Color.RED)) & 1
+                     for corner, color in family))
+        for code in range(16)
+    ]
     out: tuple[list[int], ...] = tuple([] for _ in families)
-    for k, r in enumerate(f.rects):
-        corners = {
-            (corner, f.base[idx].color)
-            for idx in (r.a, r.b) if yr[idx] == r.ymin
-            for corner, x in ((_BL, r.xmin), (_BR, r.xmax)) if xr[idx] == x
-        }
-        for indices, family in zip(out, families):
-            if corners & family:
-                indices.append(k)
+    for k, (x1, x2, y1, _, a, b) in enumerate(f.rects):
+        code = 0
+        if yr[a] == y1:
+            if xr[a] == x1:
+                code = 1 << red[a]
+            if xr[a] == x2:
+                code |= 4 << red[a]
+        if yr[b] == y1:
+            if xr[b] == x1:
+                code |= 1 << red[b]
+            if xr[b] == x2:
+                code |= 4 << red[b]
+        for family in table[code]:
+            out[family].append(k)
     return tuple(f.restrict(indices) for indices in out)
 
 
@@ -159,8 +176,9 @@ def exact_independent_rects(fam: RectFamily) -> IndependentSet:
     reduced = corner_elimination(fam)
     dag = piercing_order(reduced)
     anti = max_antichain(dag)
-    back = {r.key: i for i, r in enumerate(fam.rects)}
-    members = frozenset(back[reduced.rects[i].key] for i in anti.members)
+    # `restrict` shares the `Rect`s, and distinct members are distinct tuples.
+    back = {r: i for i, r in enumerate(fam.rects)}
+    members = frozenset(back[reduced.rects[i]] for i in anti.members)
     return IndependentSet(members)
 
 
@@ -283,7 +301,7 @@ class _ChosenMask:
             incident[r.a] |= 1 << k
             incident[r.b] |= 1 << k
         self.conf = [incident[r.a] | incident[r.b] | above | below | corner
-                     for r, (_, above, below, _, corner) in zip(rects, _dominance(rects))]
+                     for r, (_, above, below, corner) in zip(rects, _dominance(rects))]
         self.incident = incident
         self.blocked = 0
         self.saved: list[int] = []
@@ -706,7 +724,8 @@ def report_to_json(report: SolveReport) -> str:
 
 def matching_from_dict(d: dict) -> Matching:
     """Read a matching from its JSON form; a missing key or a value of the
-    wrong shape raises a one-line ValueError that names the field."""
+    wrong shape raises a one-line ValueError that names the field and
+    echoes the value through `reprlib.repr`, which caps its length."""
     mode = _json_field(d, "mode", str, "matching")
     pairs = _json_field(d, "pairs", list, "matching")
     for p in pairs:
@@ -714,7 +733,7 @@ def matching_from_dict(d: dict) -> Matching:
                 and all(type(i) is int for i in p)):
             raise ValueError(
                 f"matching key 'pairs' must hold [i, j] pairs of point "
-                f"indices, got {p!r}")
+                f"indices, got {reprlib.repr(p)}")
     if mode not in {m.value for m in MatchMode}:
         raise ValueError(f"matching key 'mode' must be 'monochromatic' or "
                          f"'bichromatic', got {mode!r}")

@@ -1,14 +1,15 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the points' exact `Fraction` coordinates, except these six:
+work on the points' exact `Fraction` coordinates, except these seven:
 `meet_naive` names the kind of a meeting by the corners of each box that
 lie strictly inside the other, on boxes in any ordered coordinates, so it
 checks `_meet` on rank boxes as well as on exact ones; `empty_pairs_scan`
 checks `empty_pairs` on sets too large for the cubic `empty_pairs_naive`,
 `conflicts_naive` checks the oracle's containers of chosen rank boxes,
 `complete_witness_naive` checks `complete_witness` one corner pair at a
-time, `antichain_by_kuhn` checks `max_antichain` on a given order, and
-`layout_naive` checks `build_layout` one clause pair at a time."""
+time, `antichain_by_kuhn` checks `max_antichain` on a given order,
+`split_naive` checks the family split one set of corners per rectangle,
+and `layout_naive` checks `build_layout` one clause pair at a time."""
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
@@ -34,6 +35,7 @@ from rectmatch.independent_set import (
     _crossing_keys,
     _left_right,
 )
+from rectmatch.matching import _BL, _BR
 
 
 class ExactBox(NamedTuple):
@@ -204,6 +206,25 @@ def checked_family(base: PointSet, rects: Iterable[Rect]) -> RectFamily:
                 f"rect {r.key} is not empty: contains point {k} at ({p.x}, {p.y})"
             )
     return RectFamily(base, rects)
+
+
+def split_naive(f: RectFamily, families) -> tuple[RectFamily, ...]:
+    """The split of `matching._split`, by its rule stated per rectangle: the
+    set of (corner, color) of its defining points in a bottom corner, where
+    a point on the bottom rank is bottom-left on the left rank and
+    bottom-right on the right rank, and every family that the set meets."""
+    xr, yr = f.base._ranks
+    out: tuple[list[int], ...] = tuple([] for _ in families)
+    for k, r in enumerate(f.rects):
+        corners = {
+            (corner, f.base[idx].color)
+            for idx in (r.a, r.b) if yr[idx] == r.ymin
+            for corner, x in ((_BL, r.xmin), (_BR, r.xmax)) if xr[idx] == x
+        }
+        for indices, family in zip(out, families):
+            if corners & family:
+                indices.append(k)
+    return tuple(f.restrict(indices) for indices in out)
 
 
 def matching_sizes_naive(s: PointSet, same_color: bool) -> tuple[int, int]:

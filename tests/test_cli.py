@@ -209,6 +209,19 @@ class TestSolveVerifyOracle:
         assert code == 1
         assert err == f"error: {deep}: JSON nested too deeply\n"
 
+    def test_nested_pair_is_a_short_error(self, tmp_path, capsys):
+        """A `pairs` entry nested 900 deep parses, and its error line echoes
+        a capped repr of it, not all 1,800 brackets."""
+        pts = tmp_path / "p.pts"
+        pts.write_text("0 0 B\n1 1 B\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"mode": "monochromatic", "pairs": ['
+                       + "[" * 900 + "]" * 900 + "]}")
+        code, _, err = run(capsys, "verify", str(pts), "--matching", str(bad))
+        assert code == 1
+        assert err.startswith("error: matching key 'pairs' must hold [i, j] pairs")
+        assert len(err.splitlines()) == 1 and len(err) <= 200
+
     def test_oracle_guard_refusal(self, tmp_path, capsys):
         pts = tmp_path / "big.pts"
         pts.write_text("".join(f"{i} {i} B\n" for i in range(20)))
@@ -269,6 +282,20 @@ class TestCompileSat:
                            "--out", str(pts), "--sidecar", str(side))
         assert code == 1
         assert err == f"error: {formula}: JSON nested too deeply\n"
+        assert not pts.exists()
+
+    def test_nested_variable_is_a_short_error(self, tmp_path, capsys):
+        """A variable nested 900 deep parses, and its error line echoes a
+        capped repr of it, not all 1,800 brackets."""
+        formula = tmp_path / "f.json"
+        formula.write_text('{"variables": [' + "[" * 900 + "]" * 900
+                           + '], "clauses": []}')
+        pts, side = tmp_path / "inst.pts", tmp_path / "inst.json"
+        code, _, err = run(capsys, "compile-sat", "--formula", str(formula),
+                           "--out", str(pts), "--sidecar", str(side))
+        assert code == 1
+        assert err.startswith("error: formula key 'variables' must hold names")
+        assert len(err.splitlines()) == 1 and len(err) <= 200
         assert not pts.exists()
 
     def test_formula_with_string_literals(self, tmp_path, capsys):

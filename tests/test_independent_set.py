@@ -128,6 +128,9 @@ class TestChecked:
         r = rect_from_pair(s, 1, 0)
         with pytest.raises(ValueError, match=re.escape("duplicate rectangle (0, 1)")):
             RectFamily(s, (r, r))
+        # The same pair in both orientations is one rectangle.
+        with pytest.raises(ValueError, match=re.escape("duplicate rectangle (0, 1)")):
+            RectFamily(s, (r, rect_from_pair(s, 0, 1)))
 
     def test_restrict_equals_the_sub_family(self):
         """`restrict` skips the duplicate check, yet builds the family that
@@ -367,13 +370,14 @@ class TestMaxAntichain:
         assert len(max_antichain(d).members) == 4
 
     def test_augmenting_path_deeper_than_the_recursion_limit(self):
-        # Height 2: k -> n+k and k -> n+k+1 for k < n, then 2n+1 -> n.  The
-        # first n left vertices take n+k each; the last one's only augmenting
-        # path shifts all of them: n+1 steps, beyond the default recursion
-        # limit of 1000.
+        # Height 2: k -> n+k and k -> n+k+1 for k < n, then 2n+1 -> n and
+        # 2n+1 -> n+1.  Every left vertex with arcs has two, so the greedy
+        # match visits them in index order: the first n take n+k each, and
+        # both partners of 2n+1 are taken.  Its only augmenting path shifts
+        # all of them: n+1 steps, beyond the default recursion limit of 1000.
         n = 1100
         arcs = {(k, n + k) for k in range(n)}
-        arcs |= {(k, n + k + 1) for k in range(n)} | {(2 * n + 1, n)}
+        arcs |= {(k, n + k + 1) for k in range(n)} | {(2 * n + 1, n), (2 * n + 1, n + 1)}
         d = dag_from_arcs(2 * n + 2, arcs)
         assert len(max_antichain(d).members) == n + 1
 

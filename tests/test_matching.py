@@ -62,6 +62,7 @@ from naive import (
     conflicts_naive,
     matching_sizes_naive,
     recolored,
+    split_naive,
     square_symmetries,
 )
 from strategies import collinear_runs, perturbed, repeated_grid
@@ -145,6 +146,33 @@ class TestSplitBi:
             fams = split_families_bi(f)
             union = frozenset().union(*(x.keys() for x in fams))
             assert union == f.keys()
+
+
+def assert_split_equals_the_set_rule(s):
+    """Both splits of the candidates of s equal `split_naive`, member for
+    member and in order."""
+    for candidates, split, families in (
+            (candidate_monochromatic, split_families_mono, matching_module._MONO_FAMILIES),
+            (candidate_bichromatic, split_families_bi, matching_module._BI_FAMILIES)):
+        f = RectFamily(s, tuple(candidates(s)))
+        got, want = split(f), split_naive(f, families)
+        assert [g.rects for g in got] == [w.rects for w in want]
+
+
+@given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+@settings(max_examples=300, deadline=None)
+def test_split_equals_the_set_rule(pts):
+    """Both splits put each candidate in the families that `split_naive`
+    does, on repeated, rational and collinear points."""
+    assert_split_equals_the_set_rule(PointSet.from_tuples(pts))
+
+
+@pytest.mark.parametrize("recolor", [monochromatize, bichromatize])
+def test_split_equals_the_set_rule_on_a_recoloured_gadget(recolor):
+    """The same on both recolourings of the degree-1 variable gadget, whose
+    degenerate segments land in two families."""
+    s = recolor(build_gadget(*variable_gadget(1), {"recipe": "variable"}))
+    assert_split_equals_the_set_rule(s)
 
 
 class TestFamilyStructure:
@@ -569,13 +597,17 @@ class TestReportJson:
     @pytest.mark.parametrize("n, grid, solve, digest", [
         (400, 1600, approx_mmrm, "6864d4295083f6b4"),
         (400, 1600, approx_mbrm, "cd2e9e23652f4f1a"),
+        (1600, 6400, approx_mmrm, "537115c799686853"),
+        (1600, 6400, approx_mbrm, "32bfe0d2bcc84535"),
         (200, 30, approx_mmrm, "5ef83ec67cca3d4c"),
         (200, 30, approx_mbrm, "b65eaad54b881a86"),
     ])
     def test_pinned_output(self, n, grid, solve, digest):
-        """The approximations' reports on two seeded instances, one sparse
+        """The approximations' reports on three seeded instances, two sparse
         and one with many repeated coordinates, are byte for byte those
-        recorded when the chain cover still ran Kuhn's algorithm."""
+        recorded when the chain cover still ran Kuhn's algorithm (n=400
+        and n=200), or while its greedy first match still ran in index
+        order (n=1600, where the matching still augments after it)."""
         text = report_to_json(solve(gadget_random_instance(n, grid, 0.5, seed=1)))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
