@@ -31,7 +31,6 @@ from rectmatch.geometry import (
     PointSet,
     _json_field,
     perturb,
-    point,
 )
 
 # ---------------------------------------------------------------------------
@@ -316,15 +315,17 @@ def build_gadget(
     pts = [(x + shift_x, y + shift_y, Color.BLUE) for x, y in blues4]
     pts += [(x + shift_x, y + shift_y, Color.RED) for x, y in reds4]
     n = max((max(x, y) for x, y, _ in pts), default=0)
+    # The coordinates are integers: one `Fraction` per distinct value,
+    # shared by its points, in place of parsing each point.
+    frac = {v: Fraction(v) for v in {v for x, y, _ in pts for v in (x, y)}}
+    points = PointSet(tuple(ColoredPoint(frac[x], frac[y], c) for x, y, c in pts))
     prov = dict(provenance or {})
     prov.update({
         "blueCount": len(blues4),
         "gridN": n,
         "shift": [shift_x, shift_y],
     })
-    return GadgetInstance(
-        PointSet.from_tuples(pts), segments, prov
-    )
+    return GadgetInstance(points, segments, prov)
 
 
 # ---------------------------------------------------------------------------

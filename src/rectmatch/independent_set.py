@@ -14,20 +14,25 @@ rectangles a corner pair is a pair that overlaps with positive area and is
 not comparable.  So neither is listed pair by pair: bitmasks of the
 members, prefix and suffix masks over each bound of the boxes
 (`geometry._dominance`), give every member the members that pierce it,
-that it pierces, that overlap it and that meet it at a corner.  The
-completeness check and corner elimination read a family's corner masks,
-computed once per family, with no step per corner pair on a complete
-family, and the piercing order checks its family for corners in the pass
-that builds it.  Only the contact graph of the chosen antichain classifies
-pairs, with `geometry.intersection_kinds`: an antichain has no comparable
-pair, so these are its overlapping pairs.  The piercing order stays in
-bitmasks, and the chain cover runs on them.
+that it pierces, that overlap it and that meet it at a corner.  Corner
+elimination walks a family once, in one `_dominance` pass in key order:
+each member's corner mask is tested against the survivors so far and
+folded into the completeness check, with no step per corner pair, and
+then dropped, so no family's corner masks are kept.  Each survivor keeps
+its piercing mask, and the survivors' piercing order is those masks cut
+to the survivors, at their bit positions in the family.  `piercing_order`
+hands that order on without a second pass, and the chain cover runs on
+its bitmasks without renumbering them.  On any other family the piercing
+order makes its own pass and checks it for corners there.  Only the
+contact graph of the chosen antichain classifies pairs, with
+`geometry.intersection_kinds`: an antichain has no comparable pair, so
+these are its overlapping pairs.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from rectmatch.errors import ContractError
@@ -62,10 +67,11 @@ class RectFamily:
     def keys(self) -> frozenset[tuple[int, int]]:
         return frozenset(r.key for r in self.rects)
 
-    @cached_property
+    @property
     def _corners(self) -> list[int]:
         """Per member, the bitmask of the members that meet it at a corner
-        (`geometry._dominance`); `corner_elimination` takes it off the family."""
+        (`geometry._dominance`), computed on each read and never kept: only
+        `complete_witness` reads it, to name the witness of a failed check."""
         return [corner for _, _, _, corner in _dominance(self.rects)]
 
     def restrict(self, indices: Sequence[int]) -> "RectFamily":
@@ -91,18 +97,28 @@ class IntersectionGraph:
 
 @dataclass(frozen=True)
 class PiercingDag:
-    """The piercing order of a family's members as bitmasks: bit v of
-    `above[u]` records that member v pierces member u (see
-    `piercing_order`).  The order is transitive and acyclic by
-    construction."""
+    """The piercing order of n elements as bitmasks (see `piercing_order`).
+    Element u sits at bit `positions[u]`, ascending in u, and bit
+    `positions[v]` of `above[u]` records that element v pierces element u.
+    Built directly, the positions are 0 ... n-1.  `corner_elimination`
+    hands its survivors on at their indices in the family it reduced, so
+    their masks are never renumbered.  The order is transitive and acyclic
+    by construction."""
 
     n: int
     above: tuple[int, ...]
+    positions: Sequence[int] | None = None
+
+    def __post_init__(self):
+        if self.positions is None:
+            object.__setattr__(self, "positions", range(self.n))
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
         """The pairs (u, v) such that v pierces u."""
-        return frozenset((u, v) for u, m in enumerate(self.above) for v in _bits(m))
+        element = {p: v for v, p in enumerate(self.positions)}
+        return frozenset((u, element[p]) for u, m in enumerate(self.above)
+                         for p in _bits(m))
 
 
 @dataclass(frozen=True)
@@ -147,42 +163,96 @@ def _crossing_keys(ends_u, ends_v) -> tuple[tuple[int, int], tuple[int, int]]:
     return k1, k2
 
 
+def _uncrossed(f: RectFamily, met: dict[int, int]) -> dict[int, int]:
+    """Per left point p of `met` (`_left_right`), the members v of `met[p]`
+    such that the rectangle of p and v's right point is not a member of
+    f; only the left points with such a v are listed.
+
+    `met[p]` holds the members that meet a member of left point p at a
+    corner.  A member met at a corner has positive width, so its right
+    point is its defining point of greater x rank.  Only the defining
+    points are read: whether p runs to right(v) does not depend on which
+    end of that rectangle p is.  So the test is one mask per left point."""
+    if not met:
+        return {}
+    xr = f.base._ranks[0]
+    rects = f.rects
+    right: dict[int, int] = {}  # per right point, the members met at a corner
+    met_any = 0
+    for m in met.values():
+        met_any |= m
+    for v in _bits(met_any):
+        x1, _, _, _, a, b = rects[v]
+        q = b if xr[a] == x1 else a
+        right[q] = right.get(q, 0) | 1 << v
+    crossed = dict.fromkeys(met, 0)
+    for _, _, _, _, a, b in rects:
+        if a in crossed and b in right:
+            crossed[a] |= right[b]
+        if b in crossed and a in right:
+            crossed[b] |= right[a]
+    return {p: m & ~crossed[p] for p, m in met.items() if m & ~crossed[p]}
+
+
 def complete_witness(f: RectFamily) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """The first corner pair (u, v), u < v, missing one of its crossing
     rectangles, with the missing key, or None.
 
     The corner masks are symmetric, so the family is complete iff, for
     each corner pair (u, v) in either order, the rectangle of u's left
-    point and v's right point is a member (`_crossing_keys`).  The boxes of
-    a corner pair overlap with positive width, so u's left point is that
-    rectangle's left point.  So per left point p, `met[p]`, the members
-    met at a corner by a member with left point p, must lie in
-    `crossed[p]`, the members v met at a corner such that some member runs
-    from p to right(v).  That is one mask test per left point; only a
-    family that fails one has its failing pairs listed."""
+    point and v's right point is a member (`_crossing_keys`).  So per left
+    point p, the members met at a corner by a member with left point p
+    must all be crossed from p: `_uncrossed` is empty.  `corner_elimination`
+    makes that test in its own pass and calls this only to name the
+    witness.  Only a family that fails it has its failing pairs listed."""
     corners = f._corners
-    if not any(corners):
-        return None
     ends = _left_right(f)
     met: dict[int, int] = {}
-    right: dict[int, int] = {}  # per right point, the members met at a corner
-    for v, ((p, q), m) in enumerate(zip(ends, corners)):
+    for (p, _), m in zip(ends, corners):
         if m:
             met[p] = met.get(p, 0) | m
-            right[q] = right.get(q, 0) | 1 << v
-    crossed = dict.fromkeys(met, 0)
-    for p, q in ends:
-        if p in crossed:
-            crossed[p] |= right.get(q, 0)
-    if not any(m & ~crossed[p] for p, m in met.items()):
+    lacking = _uncrossed(f, met)
+    if not lacking:
         return None
-    # v is a bit of corners[u] & ~crossed[left(u)] iff the pair of u and v
+    # v is a bit of corners[u] & lacking[left(u)] iff the pair of u and v
     # lacks the rectangle (left(u), right(v)).
     u, v = min((min(u, v), max(u, v)) for u, ((p, _), m) in enumerate(zip(ends, corners))
-               if m for v in _bits(m & ~crossed[p]))
+               if p in lacking for v in _bits(m & lacking[p]))
     keys = f.keys()
     k1, k2 = _crossing_keys(ends[u], ends[v])
     return (u, v), k1 if k1 not in keys else k2
+
+
+def _eliminate(f: RectFamily, rows):
+    """Corner elimination's visit of the `_dominance` rows of f, in the
+    order given: the bitmask of the survivors, the mask of the members
+    that pierce each survivor, by survivor, `met` for `_uncrossed`, and
+    whether a survivor has an equal box.  None when the members met at a
+    corner come out of key order."""
+    rects = f.rects
+    xr = f.base._ranks[0]
+    met: dict[int, int] = {}
+    last = (-1, -1)  # the key of the last member met at a corner
+    kept = 0
+    pierced = {}
+    twins = False
+    for u, above, below, corner in rows:
+        if corner:
+            x1, _, _, _, a, b = rects[u]
+            key = (a, b) if a < b else (b, a)
+            if key < last:
+                return None
+            last = key
+            p = a if xr[a] == x1 else b  # the left point; the box has width
+            met[p] = met.get(p, 0) | corner
+            if corner & kept:
+                continue
+        bit = 1 << u
+        kept |= bit
+        pierced[u] = above
+        if above & below != bit:
+            twins = True
+    return kept, pierced, met, twins
 
 
 def corner_elimination(f: RectFamily) -> RectFamily:
@@ -197,22 +267,42 @@ def corner_elimination(f: RectFamily) -> RectFamily:
     survives: a member survives exactly when no survivor with a smaller key
     meets it at a corner.  So the members are visited in key order, and
     each is kept unless its corner mask meets the survivors so far.
+
+    One `_dominance` pass makes the visit, streamed in index order: only
+    the members met at a corner are compared, so only their keys must be
+    in order, and the solver's families are in key order (`empty_pairs` is
+    sorted, and `restrict` keeps the order).  A family whose members met
+    at a corner are not has its rows sorted by key and visited again.
+    Each corner mask is dropped once it is tested against the survivors
+    and ORed into its left point's entry of `met`; after the pass,
+    `_uncrossed` tests `met` against the crossing rectangles, and a
+    family that fails raises a ContractError with its `complete_witness`.
+
+    Each survivor keeps the mask of the members that pierce it.  The
+    returned family carries the survivors' piercing order, those masks cut
+    to the survivors, at the survivors' bit positions in f, for
+    `piercing_order` to read in place of a second pass.  A family in which
+    two survivors have equal boxes, which no two empty rectangles have,
+    carries none, and `piercing_order` rejects it.
     """
-    witness = complete_witness(f)
-    if witness is not None:
-        (u, v), missing = witness
+    rects = f.rects
+    visit = _eliminate(f, _dominance(rects))
+    if visit is None:
+        keys = [(a, b) if a < b else (b, a) for _, _, _, _, a, b in rects]
+        visit = _eliminate(f, sorted(_dominance(rects), key=lambda row: keys[row[0]]))
+    kept, pierced, met, twins = visit
+    if _uncrossed(f, met):
+        (u, v), missing = complete_witness(f)
         raise ContractError(
-            f"family is not complete: corner pair {f.rects[u].key} / "
-            f"{f.rects[v].key} lacks crossing rectangle {missing}"
+            f"family is not complete: corner pair {rects[u].key} / "
+            f"{rects[v].key} lacks crossing rectangle {missing}"
         )
-    # The caller keeps the family, so its full-width masks leave it here.
-    corners = f.__dict__.pop("_corners")
-    keys = [(a, b) if a < b else (b, a) for _, _, _, _, a, b in f.rects]
-    kept = 0
-    for u in sorted(range(len(keys)), key=keys.__getitem__):
-        if not corners[u] & kept:
-            kept |= 1 << u
-    return f.restrict(list(_bits(kept)))
+    positions = sorted(pierced)
+    reduced = f.restrict(positions)
+    if not twins or len({r[:4] for r in reduced.rects}) == len(positions):
+        reduced.__dict__["_order"] = PiercingDag(len(positions), tuple(
+            (pierced[u] & kept) ^ (1 << u) for u in positions), positions)
+    return reduced
 
 
 def piercing_order(f: RectFamily) -> PiercingDag:
@@ -223,7 +313,14 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     pierce both ways, and distinct empty rectangles never have them.  A
     corner pair, read off the corner masks of the same `_dominance` pass,
     or equal boxes raise a ContractError with the first such pair.
+
+    A family that `corner_elimination` returned carries its order, at the
+    members' bit positions in the family it reduced, and that order is
+    returned with no pass.
     """
+    dag = f.__dict__.get("_order")
+    if dag is not None:
+        return dag
     rects = f.rects
     above = []
     for u, m, below, corner in _dominance(rects):
@@ -243,21 +340,21 @@ def piercing_order(f: RectFamily) -> PiercingDag:
     return PiercingDag(len(rects), tuple(above))
 
 
-def _layers(above: Sequence[int], match_right: list[int],
+def _layers(above: Sequence[int], positions: Sequence[int], match_right: list[int],
             roots: list[int], free: int) -> tuple[list[int], int]:
     """Breadth-first search from the left copies `roots` along alternating
     paths: unmatched arcs to right copies, matched ones back.  Returns the
     bitmask of the right copies first reached from each layer of left
-    copies and the bitmask of the left copies reached.  The search stops at
-    the first layer that reaches a right copy in `free`, and that layer
-    keeps only those."""
-    unseen = (1 << len(above)) - 1
+    copies and the bitmask of the left copies reached, both at the
+    elements' `positions`.  The search stops at the first layer that
+    reaches a right copy in `free`, and that layer keeps only those."""
+    unseen = (1 << len(match_right)) - 1
     layers = []
     reached = 0
     while roots:
         found = 0
         for u in roots:
-            reached |= 1 << u
+            reached |= 1 << positions[u]
             m = above[u] & unseen
             if m:
                 unseen ^= m
@@ -289,14 +386,22 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
     copies to take, so they take them before the elements below use them
     up, and fewer phases are left to run.
 
+    A right copy is named by its element's bit position in `d.above`, so
+    the masks of an order that `corner_elimination` handed on are used
+    as they are.  The free right copies and the unseen ones start as every
+    bit up to the highest position: the bits of no element are never in
+    a mask, so they are never read.
+
     The antichain is the set of elements whose left copy the alternating
     paths from the free left copies reach and whose right copy they do
     not: the elements with neither copy in the minimum vertex cover.  That
     set is the same for every maximum matching (Dulmage and Mendelsohn).
+    Only its members are mapped back from bit positions to elements.
     """
-    n, above = d.n, d.above
-    match_left, match_right = [-1] * n, [-1] * n
-    free = (1 << n) - 1  # right copies not matched
+    n, above, positions = d.n, d.above, d.positions
+    width = positions[-1] + 1 if n else 0
+    match_left, match_right = [-1] * n, [-1] * width
+    free = (1 << width) - 1  # right copies not matched
     degree = [m.bit_count() for m in above]
     for u in sorted(range(n), key=degree.__getitem__):
         m = above[u] & free
@@ -307,7 +412,7 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
             match_left[u], match_right[v] = v, u
     while True:
         roots = [u for u in range(n) if match_left[u] < 0]
-        layers, reach_left = _layers(above, match_right, roots, free)
+        layers, reach_left = _layers(above, positions, match_right, roots, free)
         if not layers or not layers[-1] & free:
             break
         for root in roots:
@@ -342,12 +447,13 @@ def max_antichain(d: PiercingDag) -> IndependentSet:
             f"chain cover identity failed: antichain {size}, "
             f"matching {matched}, n {n}"
         )
-    for u in _bits(members):
+    chosen = [bisect_left(positions, p) for p in _bits(members)]
+    for u in chosen:
         clash = above[u] & members
         if clash:
-            v = (clash & -clash).bit_length() - 1
+            v = bisect_left(positions, (clash & -clash).bit_length() - 1)
             raise ContractError(f"antichain members {u}, {v} are comparable")
-    return IndependentSet(frozenset(_bits(members)))
+    return IndependentSet(frozenset(chosen))
 
 
 def forest_two_color(g: IntersectionGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -173,13 +173,11 @@ def exact_independent_rects(fam: RectFamily) -> IndependentSet:
     """Exact maximum piercing+corner-independent subfamily: eliminate corner
     pairs, then take a maximum antichain of the piercing order.  Member
     indices refer to `fam.rects`."""
-    reduced = corner_elimination(fam)
-    dag = piercing_order(reduced)
+    dag = piercing_order(corner_elimination(fam))
     anti = max_antichain(dag)
-    # `restrict` shares the `Rect`s, and distinct members are distinct tuples.
-    back = {r: i for i, r in enumerate(fam.rects)}
-    members = frozenset(back[reduced.rects[i]] for i in anti.members)
-    return IndependentSet(members)
+    # The order that corner elimination hands on sits at the members' bit
+    # positions in `fam`, which are their indices there.
+    return IndependentSet(frozenset(dag.positions[i] for i in anti.members))
 
 
 def half_approx_family(fam: RectFamily) -> IndependentSet:

@@ -1,13 +1,14 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the points' exact `Fraction` coordinates, except these seven:
+work on the points' exact `Fraction` coordinates, except these eight:
 `meet_naive` names the kind of a meeting by the corners of each box that
 lie strictly inside the other, on boxes in any ordered coordinates, so it
 checks `_meet` on rank boxes as well as on exact ones; `empty_pairs_scan`
 checks `empty_pairs` on sets too large for the cubic `empty_pairs_naive`,
 `conflicts_naive` checks the oracle's containers of chosen rank boxes,
 `complete_witness_naive` checks `complete_witness` one corner pair at a
-time, `antichain_by_kuhn` checks `max_antichain` on a given order,
+time, `exact_independent_naive` checks `exact_independent_rects` in three
+separate stages, from the corner survivors of `survivors_naive`, `antichain_by_kuhn` checks `max_antichain` on a given order,
 `split_naive` checks the family split one set of corners per rectangle,
 and `layout_naive` checks `build_layout` one clause pair at a time."""
 from __future__ import annotations
@@ -23,6 +24,7 @@ from rectmatch.geometry import (
     Rect,
     _Grid,
     _bits,
+    _dominance,
     classify_intersection,
     intersection_kinds,
     rect_from_pair,
@@ -34,6 +36,7 @@ from rectmatch.independent_set import (
     RectFamily,
     _crossing_keys,
     _left_right,
+    max_antichain,
 )
 from rectmatch.matching import _BL, _BR
 
@@ -283,6 +286,31 @@ def complete_witness_naive(f: RectFamily):
             if k1 not in keys or k2 not in keys:
                 return (u, v), k1 if k1 not in keys else k2
     return None
+
+
+def survivors_naive(f: RectFamily) -> list[int]:
+    """The members that corner elimination keeps, ascending: the members
+    visited in key order, each kept unless its corner mask, read off the
+    whole family's corner masks, meets the survivors so far."""
+    corners = f._corners
+    keys = [r.key for r in f.rects]
+    kept = 0
+    for u in sorted(range(len(keys)), key=keys.__getitem__):
+        if not corners[u] & kept:
+            kept |= 1 << u
+    return list(_bits(kept))
+
+
+def exact_independent_naive(f: RectFamily) -> frozenset[int]:
+    """`matching.exact_independent_rects` of a complete family in three
+    separate stages: the survivors of corner elimination
+    (`survivors_naive`); a second `_dominance` pass over the survivors,
+    numbered 0 ... k-1, for the piercing order; and the chain cover
+    (`max_antichain`) of that order, mapped back to indices of f."""
+    survivors = survivors_naive(f)
+    above = tuple(m ^ (1 << u) for u, m, _, _ in _dominance([f.rects[i] for i in survivors]))
+    anti = max_antichain(PiercingDag(len(survivors), above))
+    return frozenset(survivors[i] for i in anti.members)
 
 
 def gpc_subgraph(g: IntersectionGraph) -> IntersectionGraph:

@@ -6,12 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rectmatch.independent_set as independent_set
 from rectmatch.errors import ContractError, GuardError
-from rectmatch.gadgets import build_gadget, monochromatize, variable_gadget
+from rectmatch.gadgets import (
+    bichromatize,
+    build_gadget,
+    monochromatize,
+    random_instance,
+    variable_gadget,
+)
 from rectmatch.geometry import (
     IntersectionKind,
     PointSet,
     _bits,
+    candidate_bichromatic,
+    candidate_monochromatic,
     classify_intersection,
     empty_pairs,
     intersection_kinds,
@@ -19,6 +28,7 @@ from rectmatch.geometry import (
 )
 from rectmatch.independent_set import (
     IntersectionGraph,
+    PiercingDag,
     RectFamily,
     _crossing_keys,
     _left_right,
@@ -30,6 +40,14 @@ from rectmatch.independent_set import (
     pairwise_kinds,
     piercing_order,
 )
+from rectmatch.matching import (
+    approx_mbrm,
+    approx_mmrm,
+    exact_independent_rects,
+    half_approx_family,
+    split_families_bi,
+    split_families_mono,
+)
 
 from naive import (
     antichain_by_kuhn,
@@ -40,10 +58,12 @@ from naive import (
     dag_from_arcs,
     dump_edges,
     exact_box,
+    exact_independent_naive,
     gpc_alpha,
     gpc_subgraph,
     order_violation,
     pierces,
+    survivors_naive,
 )
 from strategies import collinear_runs, perturbed, repeated_grid
 
@@ -408,6 +428,22 @@ class TestMaxAntichain:
         d = dag_from_arcs(len(tuples), arcs)
         assert max_antichain(d).members == antichain_by_kuhn(d)
 
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), unique=True, max_size=24),
+           st.integers(1, 4), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_positions_only_name_the_bits(self, tuples, step, offset):
+        """The same order with its elements at spread-out bit positions, as
+        corner elimination hands them on, has the same arcs and the same
+        antichain."""
+        arcs = {(u, v) for u, a in enumerate(tuples) for v, b in enumerate(tuples)
+                if u != v and all(x <= y for x, y in zip(a, b))}
+        d = dag_from_arcs(len(tuples), arcs)
+        positions = tuple(offset + step * u for u in range(len(tuples)))
+        spread = PiercingDag(d.n, tuple(
+            sum(1 << positions[v] for v in _bits(m)) for m in d.above), positions)
+        assert spread.arcs == d.arcs == arcs
+        assert max_antichain(spread).members == max_antichain(d).members
+
 
 class TestBruteForceMis:
     def test_two_disjoint(self):
@@ -614,3 +650,137 @@ class TestDominanceOrder:
             assert a != b
             arcs.add((u, v) if pierces(a, b) else (v, u))
         assert order_violation(dag_from_arcs(len(f), arcs)) is None
+
+
+def solver_families(s):
+    """The corner families that the two approximations solve on s."""
+    return (split_families_mono(RectFamily(s, tuple(candidate_monochromatic(s))))
+            + split_families_bi(RectFamily(s, tuple(candidate_bichromatic(s)))))
+
+
+def count_dominance(monkeypatch) -> list[int]:
+    """Record the size of every `_dominance` call that `independent_set`
+    makes from now on."""
+    calls = []
+    real = independent_set._dominance
+
+    def counted(rects):
+        calls.append(len(rects))
+        return real(rects)
+    monkeypatch.setattr(independent_set, "_dominance", counted)
+    return calls
+
+
+class TestOnePass:
+    """Corner elimination visits each family in one `_dominance` pass and
+    hands the survivors' piercing masks on, at their bit positions in the
+    family, to the piercing order and the chain cover.  The answers must be
+    those of the three separate stages (`naive.exact_independent_naive`)."""
+
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_three_stages(self, pts):
+        for fam in solver_families(PointSet.from_tuples(pts)):
+            assert exact_independent_rects(fam).members == exact_independent_naive(fam)
+
+    def test_equals_the_three_stages_on_random_sets(self):
+        rng = random.Random(41)
+        dropped = 0
+        for _ in range(40):
+            s = random_points(rng, rng.randrange(10, 60), 40)
+            for fam in solver_families(s):
+                assert exact_independent_rects(fam).members == exact_independent_naive(fam)
+                dropped += len(survivors_naive(fam)) < len(fam)
+        assert dropped >= 20
+
+    @pytest.mark.parametrize("recolor", [monochromatize, bichromatize])
+    def test_equals_the_three_stages_on_a_recoloured_gadget(self, recolor):
+        s = recolor(build_gadget(*variable_gadget(1), {"recipe": "variable"}))
+        for fam in solver_families(s):
+            assert exact_independent_rects(fam).members == exact_independent_naive(fam)
+
+    def test_one_dominance_pass_per_family(self, monkeypatch):
+        """Each family of the solver's path is walked once, and neither its
+        corner masks nor an order stay on it."""
+        calls = count_dominance(monkeypatch)
+        s = random_instance(60, 240, 0.5, seed=1)
+        for fam in solver_families(s):
+            before = len(calls)
+            half_approx_family(fam)
+            exact_independent_rects(fam)
+            assert calls[before:] == [len(fam), len(fam)]
+            assert "_corners" not in fam.__dict__ and "_order" not in fam.__dict__
+        for solve in (approx_mmrm, approx_mbrm):
+            del calls[:]
+            sizes = solve(s).family_sizes
+            assert calls == list(sizes)
+
+    def test_out_of_key_order_keeps_the_survivors(self, monkeypatch):
+        """A family whose members met at a corner are in key order streams in
+        one pass, though other members are not; one whose members met at a
+        corner are not is visited again in key order.  Both keep the
+        survivors of the key-order rule, in index order, and their orders
+        are those of a fresh pass over the survivors."""
+        calls = count_dominance(monkeypatch)
+        rng = random.Random(3)
+        revisited = 0
+        for _ in range(40):
+            s = random_points(rng, rng.randrange(8, 30), 20)
+            f = all_empty_family(s)
+            loose = [u for u, m in enumerate(f._corners) if not m]
+            moved = dict(zip(loose, rng.sample(loose, len(loose))))
+            shuffled = list(range(len(f)))
+            rng.shuffle(shuffled)
+            streamed = [moved.get(u, u) for u in range(len(f))]
+            for order in (streamed, shuffled):
+                g = RectFamily(s, tuple(f.rects[i] for i in order))
+                want = survivors_naive(g)
+                del calls[:]
+                out = corner_elimination(g)
+                if order is streamed:
+                    assert calls == [len(g)]
+                revisited += len(calls) == 2
+                assert out.rects == tuple(g.rects[i] for i in want)
+                assert piercing_order(out).arcs == piercing_order(g.restrict(want)).arcs
+                assert exact_independent_rects(g).members == exact_independent_naive(g)
+        assert revisited >= 20
+
+    @pytest.mark.parametrize("pairs, text", [
+        ([(0, 1), (2, 3), (0, 3)], "(0, 1) / (2, 3) lacks crossing rectangle (1, 2)"),
+        ([(0, 3), (2, 3), (0, 1)], "(2, 3) / (0, 1) lacks crossing rectangle (1, 2)"),
+        ([(2, 3), (0, 1)], "(2, 3) / (0, 1) lacks crossing rectangle (1, 2)"),
+    ])
+    def test_incomplete_family_keeps_its_error(self, pairs, text):
+        """In key order or not, an incomplete family raises with the
+        witness of `complete_witness`, word for word."""
+        s = ps(*CROSS_POINTS)
+        f = RectFamily(s, tuple(rect_from_pair(s, i, j) for i, j in pairs))
+        with pytest.raises(ContractError, match=re.escape(
+                f"family is not complete: corner pair {text}") + "$"):
+            corner_elimination(f)
+
+    def test_large_incomplete_family_out_of_key_order(self):
+        """The degree-1 gadget's family less one crossing rectangle, with its
+        members reversed, raises with the witness of the pair walk."""
+        f = all_empty_family(ps(*GADGET_POINTS))
+        u, v = next((u, v) for u, m in enumerate(f._corners) for v in _bits(m) if u < v)
+        ends = _left_right(f)
+        _, missing = _crossing_keys(ends[u], ends[v])
+        g = RectFamily(f.base, tuple(r for r in reversed(f.rects) if r.key != missing))
+        (u, v), lacked = complete_witness_naive(g)
+        assert lacked == missing
+        with pytest.raises(ContractError, match=re.escape(
+                f"family is not complete: corner pair {g.rects[u].key} / "
+                f"{g.rects[v].key} lacks crossing rectangle {missing}") + "$"):
+            corner_elimination(g)
+
+    def test_equal_boxes_survive_and_are_rejected(self):
+        """Two members with equal boxes both survive corner elimination, and
+        the piercing order of the survivors names them as before."""
+        s = ps((0, 0, "B"), (1, 1, "B"), (0, 1, "B"), (1, 0, "B"), (5, 5, "R"), (6, 6, "R"))
+        f = RectFamily(s, tuple(rect_from_pair(s, i, j) for i, j in [(4, 5), (0, 1), (2, 3)]))
+        out = corner_elimination(f)
+        assert out.rects == f.rects
+        with pytest.raises(ContractError, match=re.escape(
+                "mutual piercing between (0, 1) and (2, 3)")):
+            piercing_order(out)
