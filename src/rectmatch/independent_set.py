@@ -23,16 +23,16 @@ its piercing mask, and the survivors' piercing order is those masks cut
 to the survivors, at their bit positions in the family.  `piercing_order`
 hands that order on without a second pass, and the chain cover runs on
 its bitmasks without renumbering them.  On any other family the piercing
-order makes its own pass and checks it for corners there.  Only the
-contact graph of the chosen antichain classifies pairs, with
-`geometry.intersection_kinds`: an antichain has no comparable pair, so
-these are its overlapping pairs.
+order makes its own pass and checks it for corners there.  No pair is
+classified: the chosen antichain has no comparable or corner pair, so its
+contact graph is its pairs that share a defining point (`pairwise_kinds`).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from rectmatch.errors import ContractError
@@ -42,7 +42,6 @@ from rectmatch.geometry import (
     Rect,
     _bits,
     _dominance,
-    intersection_kinds,
 )
 
 
@@ -71,7 +70,7 @@ class RectFamily:
     def _corners(self) -> list[int]:
         """Per member, the bitmask of the members that meet it at a corner
         (`geometry._dominance`), computed on each read and never kept: only
-        `complete_witness` reads it, to name the witness of a failed check."""
+        `complete_witness` walks it, to name the witness of a failed check."""
         return [corner for _, _, _, corner in _dominance(self.rects)]
 
     def restrict(self, indices: Sequence[int]) -> "RectFamily":
@@ -127,20 +126,29 @@ class IndependentSet:
 
 
 def pairwise_kinds(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
-    """The kind of every intersecting pair (u, v), u < v, of members that
-    do not pierce one another, keys in sorted order: the corner, point and
-    side pairs.  This is `geometry.intersection_kinds` less its piercing
-    pairs; a pair that is absent is disjoint or piercing."""
-    return {uv: kind for uv, kind in intersection_kinds(f.base, f.rects).items()
-            if kind is not IntersectionKind.PIERCING}
+    """The kind of every intersecting pair (u, v), u < v, keys in sorted
+    order, of members that must be an antichain of empty rectangles with no
+    corner pair, as in `half_approx_family`.  By the rule of empty
+    rectangles (`geometry._dominance`) two such members meet exactly when
+    they share a defining point, and only on their boundaries: in that one
+    point (POINT) or along a side (SIDE)."""
+    rects = f.rects
+    incident = defaultdict(list)  # per defining point, its members
+    for u, r in enumerate(rects):
+        incident[r.a].append(u)
+        incident[r.b].append(u)
+    kinds = {}
+    for u, v in sorted(uv for members in incident.values() for uv in combinations(members, 2)):
+        (ux1, ux2, uy1, uy2, _, _), (vx1, vx2, vy1, vy2, _, _) = rects[u], rects[v]
+        one = max(ux1, vx1) == min(ux2, vx2) and max(uy1, vy1) == min(uy2, vy2)
+        kinds[u, v] = IntersectionKind.POINT if one else IntersectionKind.SIDE
+    return kinds
 
 
 def build_graph(f: RectFamily) -> IntersectionGraph:
-    """The contact graph of the family: its corner, point and side pairs
-    with their kinds, in sorted order (`pairwise_kinds`).  The piercing
-    pairs are left out: they form the order of `piercing_order`, and the
-    contact graph is built on an antichain of it, which has none, so only
-    its contacts are classified."""
+    """The contact graph of an antichain of the piercing order with no
+    corner pair: its point and side pairs with their kinds, in sorted
+    order (`pairwise_kinds`)."""
     return IntersectionGraph(len(f.rects), tuple(
         (u, v, kind) for (u, v), kind in pairwise_kinds(f).items()))
 
@@ -169,10 +177,13 @@ def _uncrossed(f: RectFamily, met: dict[int, int]) -> dict[int, int]:
     f; only the left points with such a v are listed.
 
     `met[p]` holds the members that meet a member of left point p at a
-    corner.  A member met at a corner has positive width, so its right
-    point is its defining point of greater x rank.  Only the defining
-    points are read: whether p runs to right(v) does not depend on which
-    end of that rectangle p is.  So the test is one mask per left point."""
+    corner.  The corner masks are symmetric, so the family is complete iff
+    for each corner pair (u, v), in either order, the rectangle of u's left
+    point and v's right point is a member (`_crossing_keys`), that is, iff
+    the result is empty.  A member met at a corner has positive width, so
+    its right point is its defining point of greater x rank.  Only the
+    defining points are read: whether p runs to right(v) does not depend on
+    which end of that rectangle p is.  So the test is one mask per left point."""
     if not met:
         return {}
     xr = f.base._ranks[0]
@@ -195,32 +206,20 @@ def _uncrossed(f: RectFamily, met: dict[int, int]) -> dict[int, int]:
 
 
 def complete_witness(f: RectFamily) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """The first corner pair (u, v), u < v, missing one of its crossing
-    rectangles, with the missing key, or None.
-
-    The corner masks are symmetric, so the family is complete iff, for
-    each corner pair (u, v) in either order, the rectangle of u's left
-    point and v's right point is a member (`_crossing_keys`).  So per left
-    point p, the members met at a corner by a member with left point p
-    must all be crossed from p: `_uncrossed` is empty.  `corner_elimination`
-    makes that test in its own pass and calls this only to name the
-    witness.  Only a family that fails it has its failing pairs listed."""
-    corners = f._corners
-    ends = _left_right(f)
-    met: dict[int, int] = {}
-    for (p, _), m in zip(ends, corners):
-        if m:
-            met[p] = met.get(p, 0) | m
-    lacking = _uncrossed(f, met)
-    if not lacking:
-        return None
-    # v is a bit of corners[u] & lacking[left(u)] iff the pair of u and v
-    # lacks the rectangle (left(u), right(v)).
-    u, v = min((min(u, v), max(u, v)) for u, ((p, _), m) in enumerate(zip(ends, corners))
-               if p in lacking for v in _bits(m & lacking[p]))
+    """The first corner pair (u, v), u < v, in the walk over the corner
+    masks in order, that lacks one of its crossing rectangles
+    (`_crossing_keys`), with the missing key, or None.  `corner_elimination`
+    makes the completeness test in its own pass and calls this only to
+    name the witness of a family that fails it."""
     keys = f.keys()
-    k1, k2 = _crossing_keys(ends[u], ends[v])
-    return (u, v), k1 if k1 not in keys else k2
+    ends = _left_right(f)
+    for u, mask in enumerate(f._corners):
+        for k in _bits(mask >> (u + 1)):
+            v = u + 1 + k
+            k1, k2 = _crossing_keys(ends[u], ends[v])
+            if k1 not in keys or k2 not in keys:
+                return (u, v), k1 if k1 not in keys else k2
+    return None
 
 
 def _eliminate(f: RectFamily, rows):
@@ -275,8 +274,9 @@ def corner_elimination(f: RectFamily) -> RectFamily:
     at a corner are not has its rows sorted by key and visited again.
     Each corner mask is dropped once it is tested against the survivors
     and ORed into its left point's entry of `met`; after the pass,
-    `_uncrossed` tests `met` against the crossing rectangles, and a
-    family that fails raises a ContractError with its `complete_witness`.
+    `_uncrossed` tests `met` against the crossing rectangles, the one
+    completeness test, and a family that fails raises a ContractError with
+    the witness that `complete_witness` finds by walking its corner pairs.
 
     Each survivor keeps the mask of the members that pierce it.  The
     returned family carries the survivors' piercing order, those masks cut

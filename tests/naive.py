@@ -1,16 +1,20 @@
 """Quadratic and exhaustive reference implementations that the tests compare
 the package against, and small helpers only the tests need.  The references
-work on the points' exact `Fraction` coordinates, except these eight:
+work on the points' exact `Fraction` coordinates, except these ten:
 `meet_naive` names the kind of a meeting by the corners of each box that
 lie strictly inside the other, on boxes in any ordered coordinates, so it
 checks `_meet` on rank boxes as well as on exact ones; `empty_pairs_scan`
 checks `empty_pairs` on sets too large for the cubic `empty_pairs_naive`,
 `conflicts_naive` checks the oracle's containers of chosen rank boxes,
-`complete_witness_naive` checks `complete_witness` one corner pair at a
-time, `exact_independent_naive` checks `exact_independent_rects` in three
-separate stages, from the corner survivors of `survivors_naive`, `antichain_by_kuhn` checks `max_antichain` on a given order,
-`split_naive` checks the family split one set of corners per rectangle,
-and `layout_naive` checks `build_layout` one clause pair at a time."""
+`complete_witness_naive` checks corner elimination's completeness test and
+`complete_witness` one corner pair at a time, `pairwise_kinds_naive`
+classifies the non-piercing pairs of any family, where `pairwise_kinds`
+takes only antichains, `exact_independent_naive` checks
+`exact_independent_rects` in three separate stages, from the corner
+survivors of `survivors_naive`, `antichain_by_kuhn` checks `max_antichain`
+on a given order, `split_naive` checks the family split one set of corners
+per rectangle, and `layout_naive` checks `build_layout` one clause pair at
+a time."""
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
@@ -286,6 +290,15 @@ def complete_witness_naive(f: RectFamily):
             if k1 not in keys or k2 not in keys:
                 return (u, v), k1 if k1 not in keys else k2
     return None
+
+
+def pairwise_kinds_naive(f: RectFamily) -> dict[tuple[int, int], IntersectionKind]:
+    """The kind of every intersecting pair (u, v), u < v, of members of f
+    that do not pierce one another, keys in sorted order: the corner, point
+    and side pairs of `intersection_kinds`.  On an antichain with no corner
+    pair, `pairwise_kinds` must give the same."""
+    return {uv: kind for uv, kind in intersection_kinds(f.base, f.rects).items()
+            if kind is not IntersectionKind.PIERCING}
 
 
 def survivors_naive(f: RectFamily) -> list[int]:

@@ -21,7 +21,6 @@ from rectmatch.independent_set import (
     RectFamily,
     complete_witness,
     corner_elimination,
-    pairwise_kinds,
     piercing_order,
     _crossing_keys,
     _left_right,
@@ -55,6 +54,7 @@ from naive import (
     gpc_alpha,
     is_general_position,
     order_violation,
+    pairwise_kinds_naive,
     red_vertical_pairs,
 )
 
@@ -130,7 +130,7 @@ def test_criterion_3_bichromatic_exactness(corpus):
     for seed, s in corpus:
         f = RectFamily(s, tuple(candidate_bichromatic(s)))
         for fam in split_families_bi(f):
-            for (u, v), kind in pairwise_kinds(fam).items():
+            for (u, v), kind in pairwise_kinds_naive(fam).items():
                 assert kind in (K.DISJOINT, K.PIERCING, K.CORNER), (
                     seed, fam.rects[u].key, fam.rects[v].key, kind
                 )
@@ -189,7 +189,7 @@ def _random_complete_family(rng, cap=18):
                                       for p in sorted(keys)))
             grown = False
             ends = _left_right(fam)
-            for (u, v), kind in pairwise_kinds(fam).items():
+            for (u, v), kind in pairwise_kinds_naive(fam).items():
                 if kind is K.CORNER:
                     for kk in _crossing_keys(ends[u], ends[v]):
                         if kk not in keys:
@@ -216,7 +216,7 @@ def test_criterion_4_corner_elimination_sound():
         after, _ = gpc_alpha(out)
         assert before == after, (trial, before, after)
         assert not any(
-            k is K.CORNER for k in pairwise_kinds(out).values()
+            k is K.CORNER for k in pairwise_kinds_naive(out).values()
         )
         if len(out) < len(fam):
             with_corners += 1

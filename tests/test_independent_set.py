@@ -1,11 +1,14 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rectmatch.geometry as geometry
 import rectmatch.independent_set as independent_set
 from rectmatch.errors import ContractError, GuardError
 from rectmatch.gadgets import (
@@ -62,6 +65,7 @@ from naive import (
     gpc_alpha,
     gpc_subgraph,
     order_violation,
+    pairwise_kinds_naive,
     pierces,
     survivors_naive,
 )
@@ -104,7 +108,7 @@ def close_under_crossings(s, pair_keys, cap=40):
     keys = set(pair_keys)
     while True:
         fam = family(s, sorted(keys))
-        kinds = pairwise_kinds(fam)
+        kinds = pairwise_kinds_naive(fam)
         ends = _left_right(fam)
         added = False
         for (u, v), k in kinds.items():
@@ -188,10 +192,12 @@ class TestBuildGraph:
     def test_dump_edges(self):
         # Two boxes meeting at their shared defining point; then a corner
         # pair with both of its crossings, where every other pair pierces.
+        # That family is no antichain, so the reference classifies it.
         s = ps((0, 0, "B"), (2, 2, "B"), (4, 4, "B"))
         g = build_graph(family(s, [(0, 1), (1, 2)]))
         assert dump_edges(g) == "0 1 POINT\n"
-        g = build_graph(family(ps(*CROSS_POINTS), CROSS_PAIRS))
+        g = IntersectionGraph(4, tuple((u, v, k) for (u, v), k in pairwise_kinds_naive(
+            family(ps(*CROSS_POINTS), CROSS_PAIRS)).items()))
         assert dump_edges(g) == "0 1 CORNER\n"
 
 
@@ -206,6 +212,21 @@ class TestGpcSubgraph:
     def test_idempotent(self):
         g = IntersectionGraph(3, ((0, 1, K.PIERCING), (1, 2, K.POINT)))
         assert gpc_subgraph(gpc_subgraph(g)) == gpc_subgraph(g)
+
+
+def assert_elimination_names_the_walk(g):
+    """Corner elimination raises exactly when the walk over the corner pairs
+    (`naive.complete_witness_naive`) finds a witness, and its message
+    names that pair and the missing key."""
+    witness = complete_witness_naive(g)
+    if witness is None:
+        corner_elimination(g)
+        return
+    (u, v), missing = witness
+    with pytest.raises(ContractError, match=re.escape(
+            f"family is not complete: corner pair {g.rects[u].key} / "
+            f"{g.rects[v].key} lacks crossing rectangle {missing}") + "$"):
+        corner_elimination(g)
 
 
 class TestVerifyComplete:
@@ -229,11 +250,13 @@ class TestVerifyComplete:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_pair_walk(self, pts, rnd):
         """On the empty-pair family, and on it less about a third of its
-        members, the witness is that of the walk over every corner pair."""
+        members, the witness is that of the walk over every corner pair, and
+        corner elimination's own completeness test agrees with that walk."""
         f = all_empty_family(PointSet.from_tuples(pts))
         sub = f.restrict([k for k in range(len(f)) if rnd.random() >= 0.3])
         for g in (f, sub):
             assert complete_witness(g) == complete_witness_naive(g)
+            assert_elimination_names_the_walk(g)
 
     def test_equals_the_pair_walk_on_random_sets(self):
         """As above on random sets of up to 23 points, which have more
@@ -246,6 +269,7 @@ class TestVerifyComplete:
             sub = f.restrict([k for k in range(len(f)) if rng.random() >= 0.3])
             witness = complete_witness(sub)
             assert witness == complete_witness_naive(sub)
+            assert_elimination_names_the_walk(sub)
             incomplete += witness is not None
         assert incomplete >= 30
 
@@ -254,9 +278,10 @@ class TestVerifyComplete:
         """The monochromatized degree-1 gadget's empty-pair family is
         complete.  Without the crossing rectangle (left of v, right of u)
         of its first or last corner pair (u, v), the witness is that of the
-        pair walk, and corner elimination refuses the family."""
+        pair walk, and corner elimination refuses the family with it."""
         f = all_empty_family(ps(*GADGET_POINTS))
         assert complete_witness(f) is None
+        assert_elimination_names_the_walk(f)
         pairs = [(u, v) for u, m in enumerate(f._corners) for v in _bits(m) if u < v]
         assert len(pairs) == 1040
         u, v = pairs[pick]
@@ -267,9 +292,7 @@ class TestVerifyComplete:
         witness = complete_witness(sub)
         assert witness is not None and witness == complete_witness_naive(sub)
         assert witness[1] == missing
-        with pytest.raises(ContractError, match=re.escape(
-                f"lacks crossing rectangle {missing}")):
-            corner_elimination(sub)
+        assert_elimination_names_the_walk(sub)
 
 
 class TestCornerElimination:
@@ -288,7 +311,7 @@ class TestCornerElimination:
         f = family(s, CROSS_PAIRS)
         out = corner_elimination(f)
         assert not any(
-            k is K.CORNER for k in pairwise_kinds(out).values()
+            k is K.CORNER for k in pairwise_kinds_naive(out).values()
         )
         assert gpc_alpha(out)[0] == gpc_alpha(f)[0]
 
@@ -324,7 +347,7 @@ def _replay_drops(f):
     keys = [r.key for r in f.rects]
     pairs = sorted(
         tuple(sorted((keys[u], keys[v])))
-        for (u, v), k in pairwise_kinds(f).items() if k is K.CORNER
+        for (u, v), k in pairwise_kinds_naive(f).items() if k is K.CORNER
     )
     alive = set(keys)
     steps = [f]
@@ -373,7 +396,7 @@ class TestPiercingOrder:
             if not pairs:
                 continue
             f = family(s, pairs)
-            kinds = pairwise_kinds(f)
+            kinds = pairwise_kinds_naive(f)
             if any(k is K.CORNER for k in kinds.values()):
                 continue
             assert order_violation(piercing_order(f)) is None
@@ -520,7 +543,7 @@ class TestDilworthIdentity:
             if not pairs:
                 continue
             f = family(s, pairs)
-            kinds = pairwise_kinds(f)
+            kinds = pairwise_kinds_naive(f)
             if any(k is K.CORNER for k in kinds.values()):
                 continue
             d = piercing_order(f)
@@ -568,12 +591,14 @@ def non_piercing(kinds):
 
 
 class TestSparseKinds:
-    """`pairwise_kinds` classifies only the pairs that overlap and are not
-    comparable in the dominance order; it must agree with classifying
-    every pair one at a time, which agrees with the exact `Fraction`
-    rectangles (`test_rank_classification_equals_exact`), less the piercing
-    pairs.  The contact graph of a restricted family, which classifies its
-    own pairs, must hold exactly those of its members."""
+    """`intersection_kinds` classifies only the pairs that overlap; less its
+    piercing pairs (`naive.pairwise_kinds_naive`) it must agree with
+    classifying every pair one at a time, which agrees with the exact
+    `Fraction` rectangles (`test_rank_classification_equals_exact`).  A
+    restricted family must have exactly the kinds of its members.
+    `pairwise_kinds` reads the contacts of an antichain with no corner
+    pair off its shared defining points, and must give the kinds of
+    `intersection_kinds` on every antichain that the solver chooses."""
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
            st.booleans(), st.randoms(use_true_random=False))
@@ -582,15 +607,37 @@ class TestSparseKinds:
         f = all_pairs_family(PointSet.from_tuples(pts), segments_only)
         dense = dense_kinds(f)
         assert intersection_kinds(f.base, f.rects) == dense
-        kinds = pairwise_kinds(f)
+        kinds = pairwise_kinds_naive(f)
         assert kinds == non_piercing(dense)
         assert list(kinds) == sorted(kinds)
-        assert build_graph(f).edges == tuple((u, v, k) for (u, v), k in kinds.items())
         keep = sorted(rnd.sample(range(len(f)), rnd.randrange(len(f) + 1)))
         sub = f.restrict(keep)
-        assert build_graph(sub).edges == tuple(
-            (u, v, k) for (u, v), k in
-            non_piercing(intersection_kinds(sub.base, sub.rects)).items())
+        assert list(pairwise_kinds_naive(sub).items()) == [
+            ((i, j), kinds[keep[i], keep[j]]) for i, j in combinations(range(len(keep)), 2)
+            if (keep[i], keep[j]) in kinds]
+
+    @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+    @settings(max_examples=300, deadline=None)
+    def test_antichain_contacts_are_the_shared_points(self, pts):
+        antichain_contacts(PointSet.from_tuples(pts))
+
+    def test_antichain_contacts_on_random_sets(self):
+        """Random sets of 20-400 points on grids of n/4, n and 4n.  These
+        antichains hold point contacts only, as all of the solver's did in
+        every set tried: the side contacts are checked on the family of
+        `test_point_and_side_contacts`."""
+        rng = random.Random(43)
+        seen = Counter()
+        for n in (20, 60, 150, 400):
+            for grid in (max(5, n // 4), n, 4 * n):
+                for _ in range(2):
+                    seen += antichain_contacts(random_points(rng, n, grid))
+        assert seen[K.POINT] > 0
+
+    @pytest.mark.parametrize("recolor", [monochromatize, bichromatize])
+    def test_antichain_contacts_on_a_recoloured_gadget(self, recolor):
+        s = recolor(build_gadget(*variable_gadget(1), {"recipe": "variable"}))
+        assert antichain_contacts(s)[K.POINT] > 0
 
     @given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
     @settings(max_examples=300, deadline=None)
@@ -603,7 +650,7 @@ class TestSparseKinds:
         fams = [f, corner_elimination(f)] if complete_witness(f) is None else [f]
         for g in fams:
             kinds = intersection_kinds(g.base, g.rects)
-            assert pairwise_kinds(g) == non_piercing(kinds)
+            assert pairwise_kinds_naive(g) == non_piercing(kinds)
             if K.CORNER in kinds.values():
                 continue
             arcs = set()
@@ -628,9 +675,55 @@ class TestSparseKinds:
                 want[v] |= 1 << u
         assert f._corners == want
 
+    def test_point_and_side_contacts(self):
+        """Empty rectangles, no two comparable: three with point 0 at their
+        lower left, upper left and upper right, and one with the first's
+        upper right point 1 at its lower left.  The pairs come in sorted
+        order, though point 1's pair is found after point 0's."""
+        f = family(ps((0, 2, "B"), (3, 4, "B"), (2, 0, "B"), (-1, 1, "B"), (5, 6, "B")),
+                   [(0, 1), (0, 2), (0, 3), (1, 4)])
+        want = {(0, 1): K.SIDE, (0, 2): K.POINT, (0, 3): K.POINT, (1, 2): K.SIDE}
+        kinds = pairwise_kinds(f)
+        assert list(kinds.items()) == list(want.items())
+        assert kinds == intersection_kinds(f.base, f.rects)
+
     def test_missing_pair_means_disjoint(self):
         s = ps((0, 0, "B"), (1, 1, "B"), (5, 5, "B"), (6, 6, "B"))
         assert pairwise_kinds(family(s, [(0, 1), (2, 3)])) == {}
+
+
+def antichain_contacts(s) -> Counter:
+    """Check that, on the antichain that `exact_independent_rects` picks
+    from each monochromatic family of s, `pairwise_kinds` is
+    `intersection_kinds`, in sorted order, and the contact graph's edges
+    are those pairs.  Returns the count of each kind found."""
+    seen = Counter()
+    for fam in split_families_mono(RectFamily(s, tuple(candidate_monochromatic(s)))):
+        a = fam.restrict(sorted(exact_independent_rects(fam).members))
+        kinds = pairwise_kinds(a)
+        assert kinds == intersection_kinds(a.base, a.rects)
+        assert list(kinds) == sorted(kinds)
+        assert build_graph(a).edges == tuple((u, v, k) for (u, v), k in kinds.items())
+        seen.update(kinds.values())
+    return seen
+
+
+def test_solver_classifies_no_pair(monkeypatch):
+    """Both approximations read the contacts off shared defining points:
+    they never call `geometry._meet` and never build the point grid."""
+    calls = []
+    real = geometry._meet
+    monkeypatch.setattr(geometry, "_meet", lambda *args: calls.append(args) or real(*args))
+    for s in (random_instance(200, 800, 0.5, seed=1),
+              bichromatize(build_gadget(*variable_gadget(1), {"recipe": "variable"}))):
+        approx_mmrm(s)
+        approx_mbrm(s)
+        assert "_rank_grid" not in s.__dict__
+    assert calls == []
+    # The patch is live: a classification goes through it.
+    r = rect_from_pair(s, 0, 1)
+    classify_intersection(s, r, r)
+    assert len(calls) == 1
 
 
 class TestDominanceOrder:

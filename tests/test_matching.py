@@ -37,7 +37,6 @@ from rectmatch.geometry import (
 from rectmatch.independent_set import (
     RectFamily,
     complete_witness,
-    pairwise_kinds,
 )
 from rectmatch.matching import (
     MatchMode,
@@ -61,6 +60,7 @@ from naive import (
     brute_force_mis,
     conflicts_naive,
     matching_sizes_naive,
+    pairwise_kinds_naive,
     recolored,
     split_naive,
     square_symmetries,
@@ -185,7 +185,7 @@ class TestFamilyStructure:
             f = RectFamily(s, tuple(candidate_monochromatic(s)))
             for fam in split_families_mono(f):
                 assert complete_witness(fam) is None
-                for (u, v), k in pairwise_kinds(fam).items():
+                for (u, v), k in pairwise_kinds_naive(fam).items():
                     cu, cv = s[fam.rects[u].a].color, s[fam.rects[v].a].color
                     if cu is not cv and k is not K.DISJOINT:
                         assert k is K.PIERCING
@@ -199,7 +199,7 @@ class TestFamilyStructure:
             f = RectFamily(s, tuple(candidate_bichromatic(s)))
             for fam in split_families_bi(f):
                 assert complete_witness(fam) is None
-                for k in pairwise_kinds(fam).values():
+                for k in pairwise_kinds_naive(fam).values():
                     assert k in (K.DISJOINT, K.PIERCING, K.CORNER)
 
 
