@@ -7,8 +7,9 @@ each `PointSet` ranks its x and y coordinates once, and a `Rect`'s bounds
 are the ranks of its two defining points' coordinates.  Rectangles are
 *closed* boxes, so a point on the boundary counts as contained.
 Which boxes of a family overlap, pierce one another or meet at a corner is
-read off bitmasks of its members: prefix and suffix masks over each of
-the four bounds (`_bound_masks`, `_dominance`).  `_dominance` also states
+read off bitmasks of its members: one prefix mask per rank over each of
+the four bounds, the boxes whose bound is below that rank, and their
+complements (`_bound_masks`, `_dominance`).  `_dominance` also states
 the rule by which two empty rectangles meet, the one rule by which the
 exact oracle decides conflicts.  `_meet` names the kind of any meeting,
 with the point grid: `classify_intersection` runs it on one pair,
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -108,20 +109,36 @@ class PointSet:
 def _dense_ranks(values: list[Coord]) -> list[int]:
     """The rank of each value among the distinct values.
 
-    Each value is keyed by `(numerator, denominator)`, which `Fraction`
-    keeps in lowest terms with a positive denominator, so equal values get
-    equal keys without `Fraction.__hash__`; only the distinct keys are
-    sorted by value.  When they share one denominator, as integers do, the
-    keys' own order is the value order, and the sort compares no
-    `Fraction`s."""
-    keys = [(v.numerator, v.denominator) for v in values]
-    value = dict(zip(keys, values))
-    if len({den for _, den in value}) == 1:
-        distinct = sorted(value)
+    Each value is keyed by `as_integer_ratio()`, its numerator and
+    denominator in lowest terms with a positive denominator, so equal
+    values get equal keys without `Fraction.__hash__`; only the distinct
+    keys are sorted by value, and no `Fraction` is compared.  When they
+    share one denominator, as integers do, the keys' own order is the
+    value order.  Otherwise they are sorted by the float `num / den`:
+    `int / int` rounds correctly, and rounding never reverses two values,
+    so only a run of keys with equal floats needs an exact sort.  A
+    quotient beyond the float range raises `OverflowError`, and then the
+    whole sort is exact."""
+    keys = [v.as_integer_ratio() for v in values]
+    distinct = set(keys)
+    if len({den for _, den in distinct}) == 1:
+        order = sorted(distinct)
     else:
-        distinct = sorted(value, key=value.__getitem__)
-    rank = {k: r for r, k in enumerate(distinct)}
+        try:
+            quotient = {k: k[0] / k[1] for k in distinct}
+        except OverflowError:
+            order = sorted(distinct, key=_exact)
+        else:
+            order = sorted(quotient, key=quotient.__getitem__)
+            if len(set(quotient.values())) < len(quotient):
+                order = [k for _, run in groupby(order, quotient.__getitem__)
+                         for k in sorted(run, key=_exact)]
+    rank = {k: r for r, k in enumerate(order)}
     return [rank[k] for k in keys]
+
+
+def _exact(key: tuple[int, int]) -> Fraction:
+    return Fraction(*key)
 
 
 class Rect(NamedTuple):
@@ -259,16 +276,15 @@ def intersection_kinds(
     """`classify_intersection` of every intersecting pair (u, v), u < v, of
     rectangles of s, keys in sorted order; a pair that is absent is
     disjoint.  `_meet` classifies each pair whose boxes overlap, piercing
-    pairs included: the boxes whose projections both overlap u's are the
-    intersection of four prefix or suffix masks of `_bound_masks`, as in
-    `_dominance`."""
+    pairs included: the boxes whose projections both overlap u's are read
+    off four masks of `_bound_masks`, as in `_dominance`."""
     grid = s._rank_grid
     DISJOINT = IntersectionKind.DISJOINT
     out = {}
-    (x1le, _), (_, x2ge), (y1le, _), (_, y2ge) = _bound_masks(rects)
+    x1lt, x2lt, y1lt, y2lt = _bound_masks(rects)
     for u, ru in enumerate(rects):
         x1, x2, y1, y2, _, _ = ru
-        overlap = x1le[x2] & x2ge[x1] & y1le[y2] & y2ge[y1]
+        overlap = x1lt[x2 + 1] & y1lt[y2 + 1] & ~(x2lt[x1] | y2lt[y1])
         for k in _bits(overlap >> (u + 1)):
             v = u + 1 + k
             kind = _meet(ru, rects[v], grid)
@@ -286,11 +302,12 @@ def _bits(mask: int) -> Iterator[int]:
         k = digits.find("1", k + 1)
 
 
-def _bound_masks(rects: Sequence[Rect]) -> list[tuple[list[int], list[int]]]:
+def _bound_masks(rects: Sequence[Rect]) -> list[list[int]]:
     """For each bound of the rank boxes `rects`, in the order xmin, xmax,
-    ymin, ymax: per rank r up to the largest bound, the bitmask of the
-    boxes whose bound is at most r and the bitmask of those whose bound is
-    at least r."""
+    ymin, ymax: per rank r up to one past the largest bound, the bitmask of
+    the boxes whose bound is below r.  So the boxes whose bound is at most
+    r are entry r + 1, and those whose bound is at least r are the
+    complement of entry r."""
     size = 1 + max(max(map(itemgetter(b), rects), default=-1) for b in (1, 3))
     buckets = [[0] * size for _ in range(4)]
     x1s, x2s, y1s, y2s = buckets
@@ -301,8 +318,7 @@ def _bound_masks(rects: Sequence[Rect]) -> list[tuple[list[int], list[int]]]:
         y1s[y1] |= bit
         y2s[y2] |= bit
         bit <<= 1
-    return [(list(accumulate(b, or_)), list(accumulate(b[::-1], or_))[::-1])
-            for b in buckets]
+    return [list(accumulate(b, or_, initial=0)) for b in buckets]
 
 
 def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
@@ -311,8 +327,9 @@ def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
     that of the boxes that meet u at a corner.
 
     Piercing is coordinate-wise `<=` on the rank tuple (xmin, -xmax, -ymin,
-    ymax), so each mask is the intersection of four prefix or suffix masks
-    of `_bound_masks`.  Two boxes pierce one another exactly when they are
+    ymax), so each mask is two masks of `_bound_masks`, for the two bounds
+    that must be at most u's, less two more, for the two that must be at
+    least u's.  Two boxes pierce one another exactly when they are
     equal.  The corner mask is the boxes that overlap u with positive area,
     read at the ranks next to u's bounds, less the comparable ones and the
     boxes of zero width or height.
@@ -326,13 +343,14 @@ def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
     overlap with positive area and are not comparable each hold one corner
     of the other strictly inside, with no point there, which `_meet` calls
     CORNER and the corner mask holds."""
-    (x1le, x1ge), (x2le, x2ge), (y1le, y1ge), (y2le, y2ge) = _bound_masks(rects)
+    x1lt, x2lt, y1lt, y2lt = _bound_masks(rects)
     flat = sum(1 << k for k, r in enumerate(rects) if r[0] == r[1] or r[2] == r[3])
     for u, (x1, x2, y1, y2, _, _) in enumerate(rects):
-        above = x1ge[x1] & x2le[x2] & y1le[y1] & y2ge[y2]
-        below = x1le[x1] & x2ge[x2] & y1ge[y1] & y2le[y2]
-        corner = (x1le[x2 - 1] & x2ge[x1 + 1] & y1le[y2 - 1] & y2ge[y1 + 1]
-                  & ~(above | below | flat)) if x1 < x2 and y1 < y2 else 0
+        above = x2lt[x2 + 1] & y1lt[y1 + 1] & ~(x1lt[x1] | y2lt[y2])
+        below = x1lt[x1 + 1] & y2lt[y2 + 1] & ~(x2lt[x2] | y1lt[y1])
+        corner = (x1lt[x2] & y1lt[y2] & ~(x2lt[x1 + 1] | y2lt[y1 + 1]
+                                          | above | below | flat)
+                  ) if x1 < x2 and y1 < y2 else 0
         yield u, above, below, corner
 
 

@@ -12,9 +12,9 @@ checks these stages is test-side, in `tests/naive.py`.
 Piercing is a dominance order on the members' rank boxes, and on empty
 rectangles a corner pair is a pair that overlaps with positive area and is
 not comparable.  So neither is listed pair by pair: bitmasks of the
-members, prefix and suffix masks over each bound of the boxes
-(`geometry._dominance`), give every member the members that pierce it,
-that it pierces, that overlap it and that meet it at a corner.  Corner
+members, prefix masks over each bound of the boxes and their
+complements (`geometry._dominance`), give every member the members that
+pierce it, that it pierces, that overlap it and that meet it at a corner.  Corner
 elimination walks a family once, in one `_dominance` pass in key order:
 each member's corner mask is tested against the survivors so far and
 folded into the completeness check, with no step per corner pair, and

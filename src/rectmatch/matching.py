@@ -14,6 +14,9 @@ The exact oracles `brute_force_max_matching`, `decide_perfect` and
 `count_perfect_matchings` are one depth-first search with three objectives
 (max, decide, count).  Its stack is explicit, so the search has no depth
 limit: inputs of thousands of points are bounded only by the size guard.
+The maximum search branches on the lowest free point.  Decide and count,
+where every point must be matched, branch first on a point with fewer
+than two unused partners, which fails or has one child.
 The search runs on the candidates' `Rect`s, whose bounds are ranks.  The
 candidates are empty rectangles, so it decides conflicts by the rule of
 empty rectangles that `geometry._dominance` states.  A search that can
@@ -420,13 +423,25 @@ def _search(
     """Depth-first pairing search behind the three oracles.
 
     `objective` is "max", "decide" or "count".  Returns the number of leaves
-    reached and, for "max", the pairs of the best one.  The lowest free
+    reached and, for "max", the pairs of the best one.  A node's branch
     point is paired with each partner in ascending order, then left
     unmatched.  A counting bound, matched pairs plus half the free points,
     prunes every branch that cannot beat the incumbent size: "max" starts
     it at -1 and raises it at each leaf.  "decide" and "count" fix it at
-    n/2 - 1, so only perfect matchings reach a leaf; "decide" stops at the
-    first.
+    n/2 - 1, so only perfect matchings reach a leaf and no point is left
+    unmatched; "decide" stops at the first.
+
+    "max" branches on the lowest free point, which makes its first
+    optimum the lexicographically least.  Where every point must be
+    matched, any free point will do, so "decide" and "count" branch first
+    on a forced one, with fewer than two unused partners: with none it
+    fails its node at once, with one it has one child.  `options` counts
+    each point's unused partners; `take` and `release` keep it as points
+    are used and freed, and `take` stacks on `scarce` each free point
+    whose count falls below 2.  At a node the first still-free point
+    popped from `scarce` is the branch point, else the lowest free one.
+    Stale entries only change the order, never the answer.  "max" updates
+    no count past the forced pairs.
 
     "max" also bounds each child by the free points that still have a
     feasible partner (`beats_best`): an unused one whose box conflicts with
@@ -454,13 +469,29 @@ def _search(
             "max_points or --guard"
         )
     maximize = objective == "max"
-    if not maximize and (
+    perfect = not maximize  # decide and count: every point must be matched
+    if perfect and (
         n % 2 or (mode is MatchMode.BI and s.count(Color.RED) != s.count(Color.BLUE))
     ):
         return 0, ()
     partners_of, chosen = _search_space(s, mode, n // 2, allowed_pairs)
     conflicts = chosen.conflicts
     used = [False] * n
+    options = [len(partners) for partners in partners_of]
+    scarce = [p for p in range(n - 1, -1, -1) if options[p] < 2]
+
+    def take(p: int) -> None:
+        used[p] = True
+        for q, _ in partners_of[p]:
+            options[q] -= 1
+            if options[q] < 2 and not used[q]:
+                scarce.append(q)
+
+    def release(p: int) -> None:
+        used[p] = False
+        for q, _ in partners_of[p]:
+            options[q] += 1
+
     forced: list[tuple[int, int]] = []
     for i, j in forced_pairs:
         key = (min(i, j), max(i, j))
@@ -474,7 +505,8 @@ def _search(
         elif conflicts(k):
             problem = "conflicts with another forced pair"
         else:
-            used[key[0]] = used[key[1]] = True
+            take(key[0])
+            take(key[1])
             chosen.append(k)
             forced.append(key)
             continue
@@ -531,9 +563,10 @@ def _search(
         return False
 
     # A frame is [point, its partner iterator (None once the point has been
-    # left unmatched), matched, free, the partner it is paired with or -1].
-    # `free` counts the points neither processed nor paired yet.  A point
-    # left unmatched is pushed on `chosen` with `leave` while its child is
+    # left unmatched), matched, free, the partner it is paired with or -1,
+    # where its children start to look for the lowest free point].  `free`
+    # counts the points neither processed nor paired yet.  A point left
+    # unmatched is pushed on `chosen` with `leave` while its child is
     # searched, and popped with its frame.
     stack: list[list] = []
     lowest, matched, free = 0, len(forced), n - 2 * len(forced)
@@ -543,8 +576,17 @@ def _search(
         while i < n and used[i]:
             i += 1
         if i < n:
-            used[i] = True
-            stack.append([i, iter(partners_of[i]), matched, free, -1])
+            low = i + 1
+            if perfect:
+                while scarce:
+                    p = scarce.pop()
+                    if not used[p]:
+                        i, low = p, i
+                        break
+                take(i)
+            else:
+                used[i] = True
+            stack.append([i, iter(partners_of[i]), matched, free, -1, low])
         else:
             leaves += 1
             if maximize:  # the bound let only a better matching get here
@@ -555,9 +597,12 @@ def _search(
         # Move to the next child of the deepest frame that has one left.
         while stack:
             frame = stack[-1]
-            i, partners, matched, free, j = frame
+            i, partners, matched, free, j, low = frame
             if j >= 0:
-                used[j] = False
+                if perfect:
+                    release(j)
+                else:
+                    used[j] = False
                 chosen.pop()
                 frame[4] = -1
             if partners is not None:
@@ -565,9 +610,12 @@ def _search(
                     for j, k in partners:
                         if used[j] or conflicts(k):
                             continue
-                        used[j] = True
                         chosen.append(k)
-                        if not maximize or beats_best(i + 1, matched + 1, free - 2):
+                        if perfect:
+                            take(j)
+                            break
+                        used[j] = True
+                        if beats_best(low, matched + 1, free - 2):
                             break
                         used[j] = False
                         chosen.pop()
@@ -575,18 +623,21 @@ def _search(
                         j = -1
                     if j >= 0:
                         frame[4] = j
-                        lowest, matched, free = i + 1, matched + 1, free - 2
+                        lowest, matched, free = low, matched + 1, free - 2
                         break
                 frame[1] = None
                 if matched + (free - 1) // 2 > best:
                     chosen.leave(i)
-                    if not maximize or beats_best(i + 1, matched, free - 1):
-                        lowest, free = i + 1, free - 1
+                    if perfect or beats_best(low, matched, free - 1):
+                        lowest, free = low, free - 1
                         break
                     chosen.pop()
             else:
                 chosen.pop()
-            used[i] = False
+            if perfect:
+                release(i)
+            else:
+                used[i] = False
             stack.pop()
         else:
             return leaves, best_pairs

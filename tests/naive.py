@@ -234,22 +234,40 @@ def split_naive(f: RectFamily, families) -> tuple[RectFamily, ...]:
     return tuple(f.restrict(indices) for indices in out)
 
 
-def matching_sizes_naive(s: PointSet, same_color: bool) -> tuple[int, int]:
+def matching_sizes_naive(
+    s: PointSet,
+    same_color: bool,
+    forced_pairs: Sequence[tuple[int, int]] = (),
+    allowed_pairs: Sequence[tuple[int, int]] | None = None,
+) -> tuple[int, int]:
     """(maximum size, number of perfect matchings) of the strong matchings
     of s, by enumerating every set of candidate pairs that is vertex-disjoint
-    and pairwise `DISJOINT` by `classify_intersection`."""
+    and pairwise `DISJOINT` by `classify_intersection`.
+
+    Only the sets that hold every pair of `forced_pairs` count, and when
+    `allowed_pairs` is given, only its pairs are candidates; a pair is
+    taken in either order.  When no set counts, the maximum is -1: so it
+    is when the forced pairs name a point twice, even as one pair given
+    twice or a pair of one point."""
+    if len({i for p in forced_pairs for i in p}) != 2 * len(forced_pairs):
+        return -1, 0
+    forced = {(min(i, j), max(i, j)) for i, j in forced_pairs}
     pairs = [
         (i, j) for i, j in empty_pairs_naive(s)
         if (s[i].color is s[j].color) == same_color
     ]
+    if allowed_pairs is not None:
+        allowed = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
+        pairs = [p for p in pairs if p in allowed]
     rects = [rect_from_pair(s, i, j) for i, j in pairs]
     n = len(s)
-    best, perfect = 0, 0
+    best, perfect = -1, 0
 
     def extend(start: int, used: frozenset, chosen: list) -> None:
         nonlocal best, perfect
-        best = max(best, len(chosen))
-        perfect += 2 * len(chosen) == n
+        if forced <= {pairs[k] for k in chosen}:
+            best = max(best, len(chosen))
+            perfect += 2 * len(chosen) == n
         for k in range(start, len(pairs)):
             i, j = pairs[k]
             if i in used or j in used:

@@ -106,6 +106,11 @@ class TestBlockingGadget:
     def test_perfect(self):
         assert decide_perfect(blocking_gadget(), MatchMode.MONO)
 
+    def test_perfect_matching_count(self):
+        # Counted with the lowest free point as every branch point; the
+        # order of the branch points must not change the count.
+        assert count_perfect_matchings(blocking_gadget(), MatchMode.MONO) == 16
+
     def test_oracle_finds_six_pairs(self):
         m = brute_force_max_matching(blocking_gadget(), MatchMode.MONO)
         assert len(m) == 6

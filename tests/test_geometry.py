@@ -441,6 +441,25 @@ def repeated_fractions(draw):
     return draw(st.permutations(values))
 
 
+# Values whose floats collide: a few anchors, each moved by as little as
+# 10**-20, and anchors past the float range.
+_TINY = Fraction(1, 10 ** 18)
+_HUGE = Fraction(10 ** 400, 3)
+
+
+@st.composite
+def close_fractions(draw):
+    """Negative and rational values, many of them equal as floats but not
+    as values, some repeated and some beyond the float range."""
+    anchor = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 3), _HUGE, -_HUGE])
+    offset = st.builds(Fraction, st.integers(-3, 3),
+                       st.sampled_from([1, 7, 10 ** 17, 3 * 10 ** 18, 10 ** 20]))
+    values = draw(st.lists(st.builds(lambda a, d: a + d, anchor, offset), max_size=20))
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=5))
+    return draw(st.permutations(values))
+
+
 class TestDenseRanks:
     @given(repeated_fractions())
     @example([Fraction(-1, 2), Fraction(2, -4), Fraction(0), Fraction(-0, 5)])
@@ -449,6 +468,39 @@ class TestDenseRanks:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_ranks_of_a_value_dict(self, values):
         assert _dense_ranks(values) == dense_ranks_naive(values)
+
+    @pytest.mark.parametrize("values", [
+        [1 + _TINY, Fraction(1), 1 - _TINY, Fraction(1, 3), 1 + 2 * _TINY, Fraction(1)],
+        [-1 + _TINY, Fraction(-1), -1 - _TINY, Fraction(-1, 3), -1 - _TINY],
+        [_HUGE, Fraction(1, 2), -_HUGE, _HUGE + Fraction(1, 3), Fraction(-5, 7)],
+        [_HUGE, _HUGE - _TINY, Fraction(0), _HUGE],
+    ], ids=["equal-floats", "negative-equal-floats", "past-float-range",
+            "past-float-range-equal"])
+    def test_equals_an_exact_sort(self, values):
+        assert _dense_ranks(values) == dense_ranks_naive(values)
+
+    @given(close_fractions())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_an_exact_sort_on_close_values(self, values):
+        assert _dense_ranks(values) == dense_ranks_naive(values)
+
+    def test_compares_no_fraction_on_a_recoloured_gadget(self, monkeypatch):
+        """The rational coordinates of a recoloured gadget are ranked by
+        their floats, which differ, so no `Fraction` is compared."""
+        s = bichromatize(build_gadget(*variable_gadget(1), {"recipe": "variable"}))
+        xs, ys = [p.x for p in s], [p.y for p in s]
+        assert len({x.denominator for x in xs}) > 1
+        compared = []
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            def spy(self, other, _real=getattr(Fraction, name)):
+                compared.append(other)
+                return _real(self, other)
+
+            monkeypatch.setattr(Fraction, name, spy)
+        ranks = (_dense_ranks(xs), _dense_ranks(ys))
+        monkeypatch.undo()
+        assert compared == []
+        assert ranks == (dense_ranks_naive(xs), dense_ranks_naive(ys))
 
 
 class TestPointFile:

@@ -491,6 +491,24 @@ class TestChosenIndex:
         assert m.pairs == tuple((k, k + 1) for k in range(0, n, 2))
         assert len(built["_ChosenIndex"]) == 1
 
+    def test_variable_gadget_search_branches_on_forced_points(self, monkeypatch):
+        """Decide branches first on a free point with fewer than two unused
+        partners, so each twelve-point blocker of the monochromatized
+        variable gadget is matched in a few pushes.  Branching on the
+        lowest free point alone, the search pushed 10,022 boxes."""
+        s = monochromatize(build_gadget(*variable_gadget(1), {"recipe": "variable"}))
+        assert len(s) // 2 > matching_module._INDEX_FROM
+        pushes = [0]
+        append = matching_module._ChosenIndex.append
+
+        def counted(self, k):
+            pushes[0] += 1
+            append(self, k)
+
+        monkeypatch.setattr(matching_module._ChosenIndex, "append", counted)
+        assert decide_perfect(s, MatchMode.MONO, max_points=len(s))
+        assert len(s) // 2 <= pushes[0] <= 2000
+
     def test_small_search_keeps_a_bitmask(self, built):
         s = gadget_random_instance(24, 24, 0.5, seed=1)
         brute_force_max_matching(s, MatchMode.MONO, max_points=24)
@@ -763,6 +781,42 @@ def test_oracle_matches_subset_enumeration(s):
         assert len(brute_force_max_matching(s, mode)) == best
         assert decide_perfect(s, mode) == (2 * best == len(s))
         assert count_perfect_matchings(s, mode) == perfect
+
+
+@st.composite
+def oracle_inputs_with_pairs(draw):
+    """`oracle_inputs` with a list of forced pairs and one of allowed
+    pairs, each drawn among its empty pairs, in either order, and among
+    any pairs of its points, so that some are no candidate of a mode,
+    repeat a point or meet."""
+    s = draw(oracle_inputs())
+    point = st.integers(0, len(s) - 1)
+    pair = st.tuples(point, point)
+    empty = empty_pairs(s)
+    if empty:
+        pick = st.sampled_from(empty)
+        pair = st.one_of(pick, pick.map(lambda p: p[::-1]), pair)
+    return s, draw(st.lists(pair, max_size=3)), draw(st.lists(pair, max_size=12))
+
+
+@given(oracle_inputs_with_pairs())
+# Two segments crossing at (1, 1), which is no input point: forced
+# together they leave no perfect matching, and of the allowed pairs only
+# (0, 2) and (1, 3) form one.
+@example((ps(*TestOracle.CROSS), [(0, 1), (3, 2)], [(0, 1), (2, 3), (0, 2), (3, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_forced_and_allowed_pairs_match_subset_enumeration(case):
+    """`decide_perfect` with forced pairs and `count_perfect_matchings`
+    with allowed pairs give the answers of enumerating the conflict-free
+    sets of candidate pairs that hold every forced pair, or that use only
+    allowed ones."""
+    s, forced, allowed = case
+    for mode in MatchMode:
+        same = mode is MatchMode.MONO
+        _, perfect = matching_sizes_naive(s, same, forced_pairs=forced)
+        assert decide_perfect(s, mode, forced_pairs=forced) == (perfect > 0)
+        _, perfect = matching_sizes_naive(s, same, allowed_pairs=allowed)
+        assert count_perfect_matchings(s, mode, allowed_pairs=allowed) == perfect
 
 
 @st.composite
