@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs: gen, solve, verify, oracle, compile-sat, bench, render.  Exit codes:
-0 success, 1 domain failure (failed verification, imperfect when deciding),
+0 success, 1 domain failure (failed verification, imperfect when deciding,
+a bad input or a run out of memory, each reported on one `error:` line),
 2 usage error.  Output is deterministic for fixed inputs and seeds.
 """
 from __future__ import annotations
@@ -258,6 +259,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ContractError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large for this command",
+              file=sys.stderr)
         return 1
 
 

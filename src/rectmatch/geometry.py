@@ -342,7 +342,15 @@ def _dominance(rects: Sequence[Rect]) -> Iterator[tuple[int, int, int, int]]:
     point in a zero-area overlap defines both boxes, and two boxes that
     overlap with positive area and are not comparable each hold one corner
     of the other strictly inside, with no point there, which `_meet` calls
-    CORNER and the corner mask holds."""
+    CORNER and the corner mask holds.
+
+    A corollary: an empty rectangle whose rank box spans at most one rank
+    along each axis meets another empty rectangle only when the two share
+    a defining point.  A box that overlaps it with positive area, pierces
+    it or is pierced by it holds, on one axis, one of its end ranks and,
+    on the other, all of its range, so one of its two defining points,
+    which sit at opposite corners.  `matching._ChosenIndex` answers for
+    such boxes from a count of the chosen boxes at each point."""
     x1lt, x2lt, y1lt, y2lt = _bound_masks(rects)
     flat = sum(1 << k for k, r in enumerate(rects) if r[0] == r[1] or r[2] == r[3])
     for u, (x1, x2, y1, y2, _, _) in enumerate(rects):

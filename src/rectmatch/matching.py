@@ -22,13 +22,16 @@ candidates are empty rectangles, so it decides conflicts by the rule of
 empty rectangles that `geometry._dominance` states.  A search that can
 choose at most a few dozen boxes works out once which candidates meet
 which, as one bitmask per candidate read off masks, so a conflict test is
-one bit test.  A larger one buckets the chosen boxes by cell of the rank
-grid, so a conflict test applies the rule to the boxes near the query
-only, and builds a candidate's `Rect` the first time a test or a choice
-touches it.  The maximum search also prunes with the free points that
-still have a feasible partner.  A small search keeps every candidate of a
-chosen or unmatched point in its blocked mask, so that test is one AND
-per free point.  The search stays exponential in the worst case.
+one bit test.  A larger one counts the chosen boxes at each point, which
+settles a shared defining point and every test of a box one rank wide:
+such a box meets no other empty rectangle but at its points.  It buckets
+the longer chosen boxes by cell of the rank grid, so a test of a longer
+box applies the rest of the rule to the boxes near it only, and it builds
+a longer candidate's `Rect` the first time a test or a choice needs it.
+The maximum search also prunes with the free points that still have a
+feasible partner.  A small search keeps every candidate of a chosen or
+unmatched point in its blocked mask, so that test is one AND per free
+point.  The search stays exponential in the worst case.
 """
 from __future__ import annotations
 
@@ -261,9 +264,10 @@ def _search_space(s: PointSet, mode: MatchMode, capacity: int, allowed_pairs=Non
     `_INDEX_FROM`, else a `_ChosenIndex` whose cell side is the median
     extent of about `_SAMPLE` candidate boxes, taken evenly from the pairs
     in order.  A `_ChosenMask` works out every candidate's `Rect` up front,
-    a `_ChosenIndex` builds each one the first time it is touched.  Both
-    decide conflicts by the rule of empty rectangles (`geometry._dominance`),
-    from the boxes and their defining points alone."""
+    a `_ChosenIndex` builds only those longer than one rank, each the first
+    time it is needed.  Both decide conflicts by the rule of empty
+    rectangles (`geometry._dominance`), from the boxes and their defining
+    points alone."""
     pairs = _color_pairs(s, mode is MatchMode.MONO)
     if allowed_pairs is not None:
         keep = {(min(i, j), max(i, j)) for i, j in allowed_pairs}
@@ -325,19 +329,33 @@ class _ChosenMask:
 
 
 class _ChosenIndex:
-    """The chosen candidates of a large search, bucketed by the square cells
-    of side `side` on the rank grid that their boxes overlap.  Candidate k
-    is the pair `pairs[k]` of points whose x and y ranks are `ranks`; its
-    `Rect` is built the first time `append` or `conflicts` touches it,
-    since a search touches only some of the candidates.  A box that spans
-    more than `_WIDE_CELLS` cells along an axis goes to the `wide` list
-    instead.  `append`, `leave` and `pop` work last in, first out, so a
-    popped box is the last one in each of its buckets; `leave` holds no
-    box.  `conflicts` tests the boxes in the cells of the query box and the
-    wide ones, or every chosen box when that is fewer, by the rule of empty
-    rectangles (`geometry._dominance`)."""
+    """The chosen candidates of a large search: a count of chosen boxes per
+    defining point, and the boxes longer than one rank bucketed by the
+    square cells of side `side` on the rank grid that they overlap.
+    Candidate k is the pair `pairs[k]` of points whose x and y ranks are
+    `ranks`; its `Rect` is built the first time `append` or `conflicts`
+    needs it, since a search touches only some of the candidates.  A box
+    that spans more than `_WIDE_CELLS` cells along an axis goes to the
+    `wide` list instead.  `append`, `leave` and `pop` work last in, first
+    out, so a popped box is the last one in each of its buckets; `leave`
+    holds no box.
 
-    __slots__ = ("ranks", "pairs", "rects", "side", "cells", "wide",
+    A box of one rank, whose span along each axis is at most one rank,
+    meets no other empty rectangle unless the two share a defining point.
+    Say an empty box r meets such a box k: they overlap with positive
+    area, or one pierces the other.  On one axis r's range then covers
+    k's range or lies inside it, and on the other it covers it.  k's range
+    spans at most one rank, so either way r's range holds one of k's end
+    ranks on the first axis and all of k's range on the second.  k's
+    defining points sit at opposite corners, so r holds one of them, and r
+    is empty only if that point is one of its own.  So `conflicts` answers
+    from the count when it can: True if one of k's points is counted,
+    False if k spans one rank.  Else it tests the bucketed boxes in the
+    cells of k and the wide ones, or every bucketed box when that is
+    fewer, by the rest of the rule of empty rectangles
+    (`geometry._dominance`)."""
+
+    __slots__ = ("ranks", "pairs", "rects", "side", "count", "cells", "wide",
                  "boxes", "held")
 
     def __init__(self, ranks: tuple[list[int], list[int]],
@@ -346,10 +364,11 @@ class _ChosenIndex:
         self.pairs = pairs
         self.rects: list[Rect | None] = [None] * len(pairs)
         self.side = side
+        self.count = [0] * len(ranks[0])  # chosen boxes per defining point
         self.cells: defaultdict[tuple[int, int], list] = defaultdict(list)
         self.wide: list = []
-        self.boxes: list = []  # in push order
-        self.held: list[list[list]] = []  # the buckets of each box
+        self.boxes: list = []  # the bucketed boxes, in push order
+        self.held: list = []  # per push: its points and its box's buckets
 
     def _build(self, k: int) -> Rect:
         """Candidate k's `Rect`, built and kept."""
@@ -358,6 +377,14 @@ class _ChosenIndex:
         return box
 
     def append(self, k: int) -> None:
+        i, j = self.pairs[k]
+        count = self.count
+        count[i] += 1
+        count[j] += 1
+        xr, yr = self.ranks
+        if -2 < xr[i] - xr[j] < 2 and -2 < yr[i] - yr[j] < 2:
+            self.held.append((i, j, ()))
+            return
         box = self.rects[k] or self._build(k)
         c = self.side
         cx1, cx2, cy1, cy2 = box[0] // c, box[1] // c, box[2] // c, box[3] // c
@@ -370,25 +397,37 @@ class _ChosenIndex:
         for bucket in held:
             bucket.append(box)
         self.boxes.append(box)
-        self.held.append(held)
+        self.held.append((i, j, held))
 
     def leave(self, p: int) -> None:
-        self.held.append(())
+        self.held.append(None)
 
     def pop(self) -> None:
-        held = self.held.pop()
-        if held:
-            self.boxes.pop()
-            for bucket in held:
-                bucket.pop()
+        pushed = self.held.pop()
+        if pushed is not None:
+            i, j, held = pushed
+            self.count[i] -= 1
+            self.count[j] -= 1
+            if held:
+                self.boxes.pop()
+                for bucket in held:
+                    bucket.pop()
 
     def conflicts(self, k: int) -> bool:
-        """True iff candidate k meets one of the chosen candidates.  A box
-        that passes a test of the closed boxes meets k iff it shares a
-        defining point with k, overlaps it with positive area, or one of
-        the two pierces the other."""
-        box = self.rects[k] or self._build(k)
-        x1, x2, y1, y2, a, b = box
+        """True iff candidate k meets one of the chosen candidates.  Past
+        the count, a bucketed box that passes a test of the closed boxes
+        meets k iff they overlap with positive area or one of the two
+        pierces the other."""
+        i, j = self.pairs[k]
+        if self.count[i] or self.count[j]:
+            return True
+        box = self.rects[k]
+        if box is None:  # only a box longer than one rank is ever built
+            xr, yr = self.ranks
+            if -2 < xr[i] - xr[j] < 2 and -2 < yr[i] - yr[j] < 2:
+                return False
+            box = self._build(k)
+        x1, x2, y1, y2, _, _ = box
         c = self.side
         cx1, cx2, cy1, cy2 = x1 // c, x2 // c, y1 // c, y2 // c
         if (cx2 - cx1 + 1) * (cy2 - cy1 + 1) >= len(self.boxes):
@@ -402,9 +441,8 @@ class _ChosenIndex:
             for r in bucket:
                 if r[0] > x2 or r[1] < x1 or r[2] > y2 or r[3] < y1:
                     continue
-                rx1, rx2, ry1, ry2, ra, rb = r
-                if (ra == a or ra == b or rb == a or rb == b
-                        or (x1 if x1 > rx1 else rx1) < (x2 if x2 < rx2 else rx2)
+                rx1, rx2, ry1, ry2, _, _ = r
+                if ((x1 if x1 > rx1 else rx1) < (x2 if x2 < rx2 else rx2)
                         and (y1 if y1 > ry1 else ry1) < (y2 if y2 < ry2 else ry2)
                         or x1 <= rx1 and rx2 <= x2 and ry1 <= y1 and y2 <= ry2
                         or rx1 <= x1 and x2 <= rx2 and y1 <= ry1 and ry2 <= y2):
@@ -459,7 +497,9 @@ def _search(
     partner lists name each candidate by its index, which both containers
     take.  Both push and pop in step with the stack and give the same
     conflict and feasibility answers, so the choice changes only the time
-    taken.
+    taken.  Most boxes of a compiled formula span one rank, and a
+    `_ChosenIndex` answers for those from its count of chosen boxes per
+    point, with no box built or bucketed.
     """
     limit = max_points if max_points is not None else DEFAULT_ORACLE_GUARD
     n = len(s)

@@ -147,6 +147,20 @@ class TestSolveVerifyOracle:
         assert code == 1
         assert out == "" and err.startswith("error: line 2:") and "1/0" in err
 
+    def test_solve_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        """A solve that runs out of memory, as the bichromatized two-clause
+        formulas do, exits 1 with one `error:` line and no traceback."""
+        def exhausted(s):
+            raise MemoryError
+
+        monkeypatch.setattr("rectmatch.cli.approx_mmrm", exhausted)
+        pts = tmp_path / "two.pts"
+        pts.write_text("0 0 R\n1 1 R\n")
+        code, out, err = run(capsys, "solve", str(pts), "--mode", "mono")
+        assert code == 1
+        assert out == "" and err.startswith("error: out of memory")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_verify_matching_without_mode(self, tmp_path, capsys):
         pts = tmp_path / "p.pts"
         pts.write_text("0 0 B\n1 1 B\n")

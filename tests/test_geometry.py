@@ -343,6 +343,31 @@ def test_empty_pairs_invariant_under_the_square_symmetries(pts):
         assert empty_pairs(t) == want
 
 
+@given(st.one_of(repeated_grid(), perturbed(), collinear_runs()))
+@example([(p.x, p.y, p.color) for p in monochromatize(
+    build_gadget(*variable_gadget(1), {"recipe": "variable"}))])
+@example([(p.x, p.y, p.color) for p in bichromatize(
+    build_gadget(*variable_gadget(1), {"recipe": "variable"}))])
+@settings(max_examples=200, deadline=None)
+def test_one_rank_empty_rectangles_meet_only_at_their_points(pts):
+    """An empty rectangle whose rank box spans at most one rank along each
+    axis is DISJOINT, on the exact boxes, from every empty rectangle with
+    other defining points: the corollary in the `_dominance` docstring.
+    Only pairs whose closed rank boxes overlap are classified; ranks keep
+    the order of the coordinates, so the others are disjoint."""
+    s = PointSet.from_tuples(pts)
+    rects = [rect(s, i, j) for i, j in empty_pairs(s)]
+    for k in rects:
+        if k.xmax - k.xmin > 1 or k.ymax - k.ymin > 1:
+            continue
+        for r in rects:
+            if ({r.a, r.b} & {k.a, k.b} or r.xmin > k.xmax or r.xmax < k.xmin
+                    or r.ymin > k.ymax or r.ymax < k.ymin):
+                continue
+            assert classify_exact(s, k.key, r.key) is IntersectionKind.DISJOINT, \
+                (k.key, r.key)
+
+
 class TestPerturb:
     def test_zero_fixed(self):
         out = perturb(ps((0, 0, "B")), 5)[0]

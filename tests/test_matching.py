@@ -452,6 +452,20 @@ def built(monkeypatch):
     return built
 
 
+def _counted(monkeypatch, cls, name):
+    """A one-item list that counts the calls of method `name` of `cls`
+    while the test runs."""
+    calls = [0]
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 class TestChosenIndex:
     """Searches that can choose more than `_INDEX_FROM` boxes run on the
     index of chosen boxes, smaller ones on the bitmask."""
@@ -473,6 +487,18 @@ class TestChosenIndex:
             == one_in_three_satisfiable(f)
         assert len(built["_ChosenIndex"]) == 1
 
+    def test_compiled_clause_builds_few_boxes(self, monkeypatch):
+        """Most boxes that the compiled clause's search chooses or tests
+        span one rank, and the index neither builds nor buckets those: at
+        most a tenth of the pushes build a `Rect` (810 of 814 did when
+        every box touched was built)."""
+        s = compile_planar_1in3(formula_from_dict(self.CLAUSE)).points
+        pushes = _counted(monkeypatch, matching_module._ChosenIndex, "append")
+        builds = _counted(monkeypatch, matching_module._ChosenIndex, "_build")
+        decide_perfect(s, MatchMode.MONO, max_points=len(s))
+        assert pushes[0] > matching_module._INDEX_FROM
+        assert builds[0] <= pushes[0] // 10
+
     def test_search_builds_no_point_grid(self):
         """The index decides conflicts from the boxes and their defining
         points alone, so a large search never builds the rank grid."""
@@ -482,14 +508,18 @@ class TestChosenIndex:
         assert "_rank_grid" not in s.__dict__
 
     @pytest.mark.parametrize("axis", ["row", "column"])
-    def test_collinear_run_pairs_neighbours(self, built, axis):
+    def test_collinear_run_pairs_neighbours(self, built, monkeypatch, axis):
+        """Each candidate of a collinear run joins two neighbours, so it
+        spans one rank, and the index builds no `Rect` at all."""
         n = 300
         line = [(k, 7) if axis == "row" else (7, k) for k in range(n)]
         s = PointSet.from_tuples((x, y, "R") for x, y in line)
         assert n // 2 > matching_module._INDEX_FROM
+        builds = _counted(monkeypatch, matching_module._ChosenIndex, "_build")
         m = brute_force_max_matching(s, MatchMode.MONO, max_points=n)
         assert m.pairs == tuple((k, k + 1) for k in range(0, n, 2))
         assert len(built["_ChosenIndex"]) == 1
+        assert builds[0] == 0
 
     def test_variable_gadget_search_branches_on_forced_points(self, monkeypatch):
         """Decide branches first on a free point with fewer than two unused
@@ -498,14 +528,7 @@ class TestChosenIndex:
         lowest free point alone, the search pushed 10,022 boxes."""
         s = monochromatize(build_gadget(*variable_gadget(1), {"recipe": "variable"}))
         assert len(s) // 2 > matching_module._INDEX_FROM
-        pushes = [0]
-        append = matching_module._ChosenIndex.append
-
-        def counted(self, k):
-            pushes[0] += 1
-            append(self, k)
-
-        monkeypatch.setattr(matching_module._ChosenIndex, "append", counted)
+        pushes = _counted(monkeypatch, matching_module._ChosenIndex, "append")
         assert decide_perfect(s, MatchMode.MONO, max_points=len(s))
         assert len(s) // 2 <= pushes[0] <= 2000
 
@@ -886,6 +909,10 @@ def box_operations(draw):
 # so a conflict.
 @example((([1, 1, 0, 2], [0, 2, 1, 1]),
           [Rect(1, 1, 0, 2, 0, 1), Rect(0, 2, 1, 1, 2, 3)], 1, [("push", 0), ("query", 1)]))
+# A box of one rank, chosen, and a longer box that shares only the defining
+# point (1, 1) with it: a conflict, though the index buckets no box.
+@example((([0, 1, 3], [0, 1, 3]),
+          [Rect(0, 1, 0, 1, 0, 1), Rect(1, 3, 1, 3, 1, 2)], 1, [("push", 0), ("query", 1)]))
 @settings(max_examples=300, deadline=None)
 def test_chosen_index_answers_as_the_scan(case):
     """Both containers of chosen candidates, built over the same empty
