@@ -30,8 +30,9 @@ box applies the rest of the rule to the boxes near it only, and it builds
 a longer candidate's `Rect` the first time a test or a choice needs it.
 The maximum search also prunes with the free points that still have a
 feasible partner.  A small search keeps every candidate of a chosen or
-unmatched point in its blocked mask, so that test is one AND per free
-point.  The search stays exponential in the worst case.
+unmatched point in its blocked mask, and counts those points with a fixed
+number of big-integer operations over one lane of bits per point.  The
+search stays exponential in the worst case.
 """
 from __future__ import annotations
 
@@ -327,6 +328,37 @@ class _ChosenMask:
         """Nonzero iff candidate k meets one of the chosen candidates."""
         return self.blocked >> k & 1
 
+    def feasible_counter(self, red: Sequence[bool]):
+        """A function of `lo` that returns the numbers of red and of blue
+        points from `lo` up (point p is red iff `red[p]`) with a candidate
+        that is not blocked, from `blocked` at the time of the call.
+
+        With K candidates, point p's incidence mask sits in lane n - 1 - p
+        of K + 1 bits, below the lane's guard bit K, so the points from
+        `lo` up fill the lowest n - lo lanes and the work shrinks as `lo`
+        grows.  `blocked * ones` copies `blocked` into every lane, with no
+        carry since it has no bit past K - 1, and clearing it leaves each
+        point's unblocked candidates.  With the guards ORed in,
+        subtracting one per lane borrows within the lane, so a guard
+        survives iff its lane is non-zero."""
+        width = len(self.conf) + 1
+        n = len(self.incident)
+        lanes = ones = red_guards = 0
+        from_lo = [(0, 0, 0, 0)] * (n + 1)  # the lanes of the points from lo up
+        for p in range(n - 1, -1, -1):
+            shift = (n - 1 - p) * width
+            lanes |= self.incident[p] << shift
+            ones |= 1 << shift
+            red_guards |= red[p] << shift + width - 1
+            from_lo[p] = lanes, ones, ones << width - 1, red_guards
+
+        def count(lo: int) -> tuple[int, int]:
+            lanes, ones, guards, red_guards = from_lo[lo]
+            feasible = (((lanes & ~(self.blocked * ones)) | guards) - ones) & guards
+            reds = (feasible & red_guards).bit_count()
+            return reds, feasible.bit_count() - reds
+        return count
+
 
 class _ChosenIndex:
     """The chosen candidates of a large search: a count of chosen boxes per
@@ -484,7 +516,8 @@ def _search(
     "max" also bounds each child by the free points that still have a
     feasible partner (`beats_best`): an unused one whose box conflicts with
     no chosen box.  A point left unmatched is pushed on the container with
-    `leave`, so a `_ChosenMask` answers that with one AND per free point.
+    `leave`, so a `_ChosenMask` counts those points, red and blue, with a
+    fixed number of big-integer operations, not a loop over the points.
     Both bounds are upper bounds on every completion, so no ancestor of
     the first optimal leaf is pruned, and the first optimum found, the
     lexicographically least pair set, is the one kept.  The stack is
@@ -557,37 +590,47 @@ def _search(
     best = -1 if maximize else n // 2 - 1
     leaves = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
-    is_red = [p.color is Color.RED for p in s]
     mono = mode is MatchMode.MONO
-    incident = chosen.incident if isinstance(chosen, _ChosenMask) else None
+    if maximize:  # only "max" calls `beats_best`, the one reader of these
+        is_red = [p.color is Color.RED for p in s]
+        feasible = (chosen.feasible_counter(is_red)
+                    if isinstance(chosen, _ChosenMask) else None)
 
     def beats_best(lo: int, matched: int, free: int) -> bool:
         """Can a completion over the `free` unused points from `lo` up beat
         `best`?  It can match only points with a feasible partner: an unused
         one whose box conflicts with no chosen box.  A mono pair takes two
-        points of one color, a bi pair one of each.  The scan stops once
-        the count so far beats `best`, or once so many points lack a
-        feasible partner that the rest could not.  A `_ChosenMask` holds
-        every candidate of a used point in `blocked`, so a point has a
-        feasible partner iff one of its candidates is not blocked: one AND.
-        Under a `_ChosenIndex` the point's partners are walked."""
+        points of one color, a bi pair one of each, so the verdict is
+        whether the pairs of those points exceed `need`.
+
+        A `_ChosenMask` counts the points from `lo` up with a fixed number
+        of big-integer operations (`feasible_counter`), one lane per
+        point.  It counts a point iff one of its candidates is not
+        blocked, which is the same test: `append` ORs in the incidence of
+        both its points and `leave` that of its point, so every candidate
+        of a used point is blocked, and an unblocked candidate has two
+        unused points.  So the lanes count exactly the points that the
+        scan below would, and give the full count's verdict.
+
+        Under a `_ChosenIndex` the free points' partners are walked.  The
+        scan stops once the count so far beats `best`, which the full
+        count would too, or once more than `free - 2 * need - 2` points
+        lack a feasible partner: then fewer than `2 * need + 2` have one,
+        and they make at most `need` pairs, as the full count would."""
         need = best - matched
         if need < 0:
             return True
-        # How many free points may lack a feasible partner before even
-        # pairing all the others could not beat `best`.
+        if feasible is not None:
+            reds, blues = feasible(lo)
+            return (reds // 2 + blues // 2 if mono
+                    else reds if reds < blues else blues) > need
         spare = free - 2 * need - 2
         reds = blues = 0
-        live = ~chosen.blocked if incident is not None else 0
         for p in range(lo, n):
             if used[p]:
                 continue
-            if incident is not None:
-                feasible = incident[p] & live
-            else:
-                feasible = any(not used[q] and not conflicts(k)
-                               for q, k in partners_of[p])
-            if not feasible:
+            if not any(not used[q] and not conflicts(k)
+                       for q, k in partners_of[p]):
                 spare -= 1
                 if spare < 0:
                     return False

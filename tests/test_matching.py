@@ -690,11 +690,11 @@ def solver_inputs(draw, side=6, min_size=2, max_size=14):
     return perturb(s, side) if draw(st.booleans()) else s
 
 
-@given(solver_inputs(side=8, min_size=12, max_size=24))
+@given(solver_inputs(side=8, min_size=12, max_size=32))
 @settings(max_examples=150, deadline=None)
 def test_quarter_bound_against_the_oracle(s):
     """Both approximations give valid matchings of at least a quarter of
-    the exact optimum, on up to 24 points."""
+    the exact optimum, on up to 32 points."""
     for mode, solver in ((MatchMode.MONO, approx_mmrm), (MatchMode.BI, approx_mbrm)):
         m = solver(s).matching
         assert verify_matching(s, m).ok
@@ -985,6 +985,41 @@ def test_chosen_mask_holds_every_conflict(pts):
             want[u] |= 1 << v
             want[v] |= 1 << u
         assert matching_module._ChosenMask(rects, len(s)).conf == want
+
+
+@given(st.one_of(repeated_grid(), perturbed(), collinear_runs()),
+       st.sampled_from(MatchMode), st.data())
+@settings(max_examples=200, deadline=None)
+def test_feasible_counter_equals_the_scan(pts, mode, data):
+    """Over a mode's empty pairs, as the maximum search builds it, the
+    bitmask's lane count gives the numbers of red and of blue points from
+    each index up with a candidate that is not blocked, as a scan of each
+    point's incidence mask does, after each step of any last-in-first-out
+    sequence of pushes, leaves and pops."""
+    s = PointSet.from_tuples(pts)
+    _, mask = matching_module._search_space(s, mode, 1)
+    red = [p.color is Color.RED for p in s]
+    count = mask.feasible_counter(red)
+    candidate = st.integers(0, len(mask.conf) - 1) if mask.conf else st.nothing()
+    step = st.one_of(st.tuples(st.just("push"), candidate),
+                     st.tuples(st.just("leave"), st.integers(0, len(s) - 1)),
+                     st.tuples(st.just("pop"), st.none()))
+
+    def check():
+        live = [bool(incident & ~mask.blocked) for incident in mask.incident]
+        for lo in range(len(s) + 1):
+            assert count(lo) == (sum(f and r for f, r in zip(live[lo:], red[lo:])),
+                                 sum(f and not r for f, r in zip(live[lo:], red[lo:])))
+
+    check()
+    for op, arg in data.draw(st.lists(step, max_size=16)):
+        if op == "push":
+            mask.append(arg)
+        elif op == "leave":
+            mask.leave(arg)
+        elif mask.saved:
+            mask.pop()
+        check()
 
 
 def _searches_by_container(s, mode, runs):
